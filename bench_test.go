@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -241,23 +242,24 @@ func BenchmarkSimStep(b *testing.B) {
 // BenchmarkEngineTick measures the allocation-free engine tick directly,
 // on a small (paper-sized) and a large (production-sized) fleet, plus the
 // hyperscale preset (20000 VMs over 5100 PMs in six DCs), whose tick runs
-// the per-DC resolution shards in parallel (TickWorkers 4) — the sharded
-// path pays a handful of goroutine-spawn allocations per tick, unlike the
-// serial ticks above.
+// the workload fill and the per-DC resolution on TickWorkers 4 persistent
+// pool workers (capped at GOMAXPROCS). Every size is 0 allocs/op and
+// 0 B/op at any -cpu.
 func BenchmarkEngineTick(b *testing.B) {
 	for _, size := range []struct {
-		name               string
-		vms, pmsPerDC, dcs int
+		name string
+		spec scenario.Spec
 	}{
-		{"small-5vm-8pm", 5, 2, 4},
-		{"large-200vm-80pm", 200, 20, 4},
+		{"small-5vm-8pm", scenario.Spec{DCs: 4, PMsPerDC: 2, VMs: 5}},
+		{"large-200vm-80pm", scenario.Spec{DCs: 4, PMsPerDC: 20, VMs: 200}},
+		{"Hyperscale", scenario.MustPreset(scenario.HyperscaleFleet, benchSeed)},
 	} {
 		b.Run(size.name, func(b *testing.B) {
-			sc, err := scenario.Build(scenario.Spec{
-				Name: "bench-engine", Seed: benchSeed,
-				DCs: size.dcs, PMsPerDC: size.pmsPerDC, VMs: size.vms,
-				LoadScale: 1.5,
-			})
+			spec := size.spec
+			if spec.Name == "" {
+				spec.Name, spec.Seed, spec.LoadScale = "bench-engine", benchSeed, 1.5
+			}
+			sc, err := scenario.Build(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -265,36 +267,23 @@ func BenchmarkEngineTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng := sc.World.Engine
+			// Warm-up ticks: the monitor rings are created on the first
+			// observation of each VM and PM, and the runtime grows its
+			// thread set to the pool's shape. The GC then settles the
+			// build's garbage, so no collection cycle (which allocates
+			// inside the runtime) overlaps the measured ticks.
+			for i := 0; i < 10; i++ {
+				eng.Step()
+			}
+			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Step()
 			}
+			b.ReportMetric(float64(eng.TickWorkers()), "workers")
 		})
 	}
-	b.Run("Hyperscale", func(b *testing.B) {
-		sc, err := scenario.Build(scenario.MustPreset(scenario.HyperscaleFleet, benchSeed))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-			b.Fatal(err)
-		}
-		eng := sc.World.Engine
-		// Warm-up ticks: monitor/report buffers grow lazily over the first
-		// few ticks, and allocs/op must reflect the steady state benchgate
-		// compares against (the remaining per-tick allocations are the
-		// sharded phase's goroutine spawns).
-		for i := 0; i < 3; i++ {
-			eng.Step()
-		}
-		b.ReportMetric(float64(eng.TickWorkers()), "workers")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Step()
-		}
-	})
 }
 
 // BenchmarkBestFitRound measures one full scheduling decision, serial vs

@@ -1,5 +1,6 @@
 // Package par provides the small set of parallel building blocks the
-// reproduction uses: bounded fan-out over index ranges and parallel map.
+// reproduction uses: bounded fan-out over index ranges, parallel map, and
+// a persistent worker pool for loops that fan out on every tick.
 //
 // The helpers keep all coordination inside the call (share memory by
 // communicating): workers receive disjoint index ranges, write only to
@@ -26,6 +27,16 @@ func dispatchChunk(n, workers int) int {
 		chunk = 1
 	}
 	return chunk
+}
+
+// nextChunk claims the next block [lo, hi) of [0, n) off the shared
+// cursor; ok is false once the range is exhausted.
+func nextChunk(cursor *atomic.Int64, n, chunk int) (lo, hi int, ok bool) {
+	lo = int(cursor.Add(int64(chunk))) - chunk
+	if lo >= n {
+		return 0, 0, false
+	}
+	return lo, min(lo+chunk, n), true
 }
 
 // ForEach invokes fn(i) for every i in [0, n) using up to workers
@@ -65,13 +76,9 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
+				lo, hi, ok := nextChunk(&cursor, n, chunk)
+				if !ok {
 					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
 				}
 				for i := lo; i < hi; i++ {
 					fn(w, i)
@@ -111,13 +118,9 @@ func ForEachChunkWorker(n, workers int, fn func(worker, lo, hi int)) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
+				lo, hi, ok := nextChunk(&cursor, n, chunk)
+				if !ok {
 					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
 				}
 				fn(w, lo, hi)
 			}

@@ -56,8 +56,8 @@ const (
 	// HyperscaleFleet is the fleet-scale stress preset: 20000 VMs over
 	// 5100 hosts in six DCs. Like xlarge it is *heavy* — resolvable by
 	// name, excluded from Names() — and it is the home of the PR 8
-	// machinery: candidate-pruned scheduling rounds and per-DC sharded
-	// engine ticks (Spec.TickWorkers) are what make it tractable.
+	// machinery: candidate-pruned scheduling rounds and sharded engine
+	// ticks (Spec.TickWorkers) are what make it tractable.
 	HyperscaleFleet = "hyperscale"
 	// ChurnPoisson is the steady-churn scenario: a multi-DC fleet whose
 	// VM population turns over continuously — independent Poisson

@@ -112,10 +112,11 @@ type Spec struct {
 	// process) need this to admit anything at all.
 	ExtraVMSlots int
 
-	// TickWorkers sets the engine's per-DC parallel tick resolution width
-	// (sim.Config.TickWorkers). Ticks are byte-identical at any worker
-	// count; <= 1 runs serially (the allocation-free path). Heavy presets
-	// set this so fleet-scale ticks use the cores they are given.
+	// TickWorkers sets the engine's parallel tick width — the chunked
+	// workload fill and the per-DC resolution (sim.Config.TickWorkers).
+	// Ticks are byte-identical and allocation-free at any worker count;
+	// <= 1 runs serially. Heavy presets set this so fleet-scale ticks use
+	// the cores they are given.
 	TickWorkers int
 
 	// Params overrides the world's ground-truth constants when non-nil.

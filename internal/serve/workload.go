@@ -12,10 +12,11 @@ import (
 // thing standing between an HTTP-admitted VM and serving nothing.
 //
 // Ownership: the engine-loop goroutine writes (Register/SetLoad/Remove,
-// always between ticks) and the engine reads during Step on the same
-// goroutine — per-DC tick workers only read, matching the generator's
-// own contract. The overlay is deterministic by construction: the rows
-// it serves are a pure function of the applied event stream.
+// always between ticks); during Step the engine's tick workers call Fill
+// concurrently on disjoint chunks, which only read the map, so the
+// overlay meets sim.Workload's concurrency contract as it stands. The
+// overlay is deterministic by construction: the rows it serves are a
+// pure function of the applied event stream.
 type Overlay struct {
 	base    sim.Workload
 	sources int

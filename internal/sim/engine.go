@@ -66,9 +66,11 @@ type Engine struct {
 	vmByID    map[model.VMID]int
 
 	// fillIDs/fillRows are the compacted active-slot view handed to the
-	// workload generator each tick; rebuilt on admit/retire only.
-	fillIDs  []model.VMID
-	fillRows []model.LoadVector
+	// workload generator each tick, and fillSlots the slot of each entry;
+	// rebuilt on admit/retire only.
+	fillIDs   []model.VMID
+	fillRows  []model.LoadVector
+	fillSlots []int32
 
 	// Placement state, dense mirrors of cluster.State.
 	hostOf   []int32   // VM index -> PM index, -1 when unplaced
@@ -105,16 +107,18 @@ type Engine struct {
 	perDCWatts  []float64
 	perDCActive []int
 
-	// Per-DC tick sharding (Config.TickWorkers > 1). pmByDC holds the PM
-	// indices of each DC (inventory order within a DC); shardFn is the
-	// worker closure, built once so the parallel tick path does not
-	// allocate a fresh closure per Step. rtNoise carries the per-guest RT
-	// noise draws from the serial pre-pass into the parallel resolution
-	// phase, preserving the legacy single-stream draw order exactly.
-	workers int
-	pmByDC  [][]int32
-	shardFn func(w, shard int)
-	rtNoise []float64
+	// Tick sharding. pool runs the two parallel phases on Config.TickWorkers
+	// persistent workers (one worker: inline on the caller): fillFn fills
+	// contiguous chunks of the fill view, resolveFn resolves per-DC shards
+	// (pmByDC, the PM indices of each DC in inventory order). Both
+	// closures are built once so Step allocates nothing. rtNoise carries
+	// the per-guest RT noise draws from the serial pre-pass into the
+	// resolution phase, preserving the legacy single-stream draw order.
+	pool      *par.Pool
+	pmByDC    [][]int32
+	fillFn    func(w, lo, hi int)
+	resolveFn func(w, lo, hi int)
+	rtNoise   []float64
 
 	// met, when non-nil, receives per-tick counters/gauges and the tick
 	// latency at the end of every Step (see SetMetrics). Recording is
@@ -189,6 +193,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		vmByID:    make(map[model.VMID]int, capVM),
 		fillIDs:   make([]model.VMID, 0, capVM),
 		fillRows:  make([]model.LoadVector, 0, capVM),
+		fillSlots: make([]int32, 0, capVM),
 
 		hostOf:   make([]int32, capVM),
 		guests:   make([][]int32, nPM),
@@ -218,11 +223,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		perDCWatts:  make([]float64, nLoc),
 		perDCActive: make([]int, nLoc),
 
-		workers: cfg.TickWorkers,
+		pool:    par.NewPool(max(cfg.TickWorkers, 1)),
 		rtNoise: make([]float64, capVM),
-	}
-	if e.workers < 1 {
-		e.workers = 1
 	}
 	copy(e.vmSpecs, inv.VMs())
 	rows := make(model.LoadVector, capVM*nLoc) // one backing array for all rows
@@ -244,27 +246,37 @@ func NewEngine(cfg Config) (*Engine, error) {
 		dc := e.pmSpecs[j].DC
 		e.pmByDC[dc] = append(e.pmByDC[dc], int32(j))
 	}
-	e.shardFn = func(_, shard int) {
-		for _, j := range e.pmByDC[shard] {
-			e.resolvePM(int(j))
+	e.fillFn = func(_, lo, hi int) {
+		e.cfg.Generator.Fill(e.tick, e.fillIDs[lo:hi], e.fillRows[lo:hi])
+		for k := lo; k < hi; k++ {
+			e.totals[e.fillSlots[k]] = e.fillRows[k].Total()
+		}
+	}
+	e.resolveFn = func(_, lo, hi int) {
+		for _, shard := range e.pmByDC[lo:hi] {
+			for _, j := range shard {
+				e.resolvePM(int(j))
+			}
 		}
 	}
 	e.rebuildFill()
 	return e, nil
 }
 
-// SetTickWorkers sets the worker count for the per-DC parallel resolution
-// phase of Step. n <= 1 runs the tick serially (the zero-alloc path);
+// SetTickWorkers sets the worker count for the parallel phases of Step
+// (workload fill and per-DC resolution). n <= 1 runs the tick serially;
 // results are byte-identical at any worker count.
 func (e *Engine) SetTickWorkers(n int) {
-	if n < 1 {
-		n = 1
+	n = max(n, 1)
+	if n == e.pool.Workers() {
+		return
 	}
-	e.workers = n
+	e.pool.Close()
+	e.pool = par.NewPool(n)
 }
 
 // TickWorkers returns the current tick worker count.
-func (e *Engine) TickWorkers() int { return e.workers }
+func (e *Engine) TickWorkers() int { return e.pool.Workers() }
 
 // --- static views -----------------------------------------------------------
 
@@ -649,7 +661,7 @@ func (e *Engine) RequiredResources(spec model.VMSpec, total model.Load) model.Re
 // Step advances the engine by one tick: fills the workload into the dense
 // rows, resolves resource occupation on every PM, computes response times,
 // SLA, power and money, feeds the monitoring pipeline and returns the tick
-// summary. Step performs no per-tick map or slice allocations.
+// summary. Step performs no allocations at any tick width.
 func (e *Engine) Step() TickSummary {
 	var t0 time.Time
 	if e.met != nil {
@@ -662,20 +674,12 @@ func (e *Engine) Step() TickSummary {
 		e.perDCActive[dc] = 0
 	}
 
-	// Workload only for live slots: fillIDs/fillRows is the compacted
-	// active view (the rows alias loadRows, so data lands slot-indexed).
-	e.cfg.Generator.Fill(e.tick, e.fillIDs, e.fillRows)
-	for i := 0; i < e.nVM; i++ {
-		if !e.activeVM[i] {
-			continue
-		}
-		e.totals[i] = e.loadRows[i].Total()
-	}
-
 	// RT-noise pre-pass, serial: the single "sim/rt" stream is consumed in
 	// the legacy order (PMs in inventory order, guests in VMID order) so
-	// the parallel resolution phase below never touches the RNG and stays
-	// byte-identical to the serial tick at any worker count.
+	// the parallel phases below never touch a shared RNG and stay
+	// byte-identical to the serial tick at any worker count. The draws
+	// depend only on the guest lists, so they come before the fill, which
+	// leaves the fill and the resolution back to back on the pool.
 	if p.RTNoiseSD > 0 {
 		for j := 0; j < e.nPM; j++ {
 			for _, vi := range e.guests[j] {
@@ -684,17 +688,16 @@ func (e *Engine) Step() TickSummary {
 		}
 	}
 
+	// Workload only for live slots: fillIDs/fillRows is the compacted
+	// active view (the rows alias loadRows, so data lands slot-indexed).
+	// The fill draws from per-(VM, tick) streams and each chunk writes
+	// only its own rows and totals, so chunks run in parallel.
+	e.pool.Run(len(e.fillIDs), e.fillFn)
+
 	// Per-PM resolution. Every write is indexed by the PM or by one of its
 	// guests (each VM has exactly one host), there are no accumulators and
-	// no RNG draws, so the DC shards are independent: with TickWorkers > 1
-	// they run on parallel workers, otherwise inline (the zero-alloc path).
-	if e.workers > 1 {
-		par.ForEachWorker(len(e.pmByDC), e.workers, e.shardFn)
-	} else {
-		for j := 0; j < e.nPM; j++ {
-			e.resolvePM(j)
-		}
-	}
+	// no RNG draws, so the DC shards are independent and run in parallel.
+	e.pool.Run(len(e.pmByDC), e.resolveFn)
 
 	// Accumulation, serial, in inventory order: per-DC splits, money and
 	// monitoring consume the resolved per-PM state in the same order as the

@@ -165,11 +165,13 @@ func (e *Engine) clearVMSlot(i int) {
 func (e *Engine) rebuildFill() {
 	e.fillIDs = e.fillIDs[:0]
 	e.fillRows = e.fillRows[:0]
+	e.fillSlots = e.fillSlots[:0]
 	for i := 0; i < e.nVM; i++ {
 		if !e.activeVM[i] {
 			continue
 		}
 		e.fillIDs = append(e.fillIDs, e.vmIDs[i])
 		e.fillRows = append(e.fillRows, e.loadRows[i])
+		e.fillSlots = append(e.fillSlots, int32(i))
 	}
 }

@@ -88,7 +88,13 @@ func DefaultParams() Params {
 // implementation must fully overwrite (zeroing slots it has no data for),
 // never grow or retain — the engine reuses the rows across ticks, which is
 // what keeps the tick hot path allocation-free. Results must be
-// deterministic in tick.
+// deterministic in tick and must not depend on how the rows are split
+// between calls.
+//
+// Fill may be called concurrently on disjoint ranges of one tick's rows:
+// with Config.TickWorkers > 1 the engine fills contiguous chunks of its
+// VM list on parallel workers. No call outlives its Step, so the
+// workload's owner may mutate it between Steps.
 type Workload interface {
 	Fill(tick int, vms []model.VMID, dst []model.LoadVector)
 }
@@ -109,10 +115,12 @@ type Config struct {
 	// keeps the engine fixed-population, bit-identical to its pre-churn
 	// behaviour.
 	ExtraVMSlots int
-	// TickWorkers sets the worker count for the tick's per-DC parallel
-	// resolution phase (Engine.Step). Results are byte-identical at any
-	// worker count; <= 1 (the default) runs serially, which is also the
-	// allocation-free path — parallel ticks pay goroutine spawns.
+	// TickWorkers sets the worker count for the tick's parallel phases:
+	// the chunked workload fill and the per-DC resolution (Engine.Step).
+	// Results are byte-identical at any worker count, and the tick is
+	// allocation-free at any count; <= 1 (the default) runs on the
+	// caller alone. Wider engines keep TickWorkers-1 goroutines idle
+	// between ticks, stopped when the engine is garbage collected.
 	TickWorkers int
 }
 

@@ -92,7 +92,8 @@ func (r *Replay) Ticks() int { return r.ticks }
 
 // Fill implements the sim.Workload contract; ticks wrap modulo the
 // recording length. Rows are fully overwritten: recorded streams are
-// copied in, everything else is zeroed. Fill performs no allocations.
+// copied in, everything else is zeroed. Fill performs no allocations and
+// only reads the recording, so concurrent calls are safe.
 func (r *Replay) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
 	t := tick % r.ticks
 	if t < 0 {
@@ -135,18 +136,19 @@ func ExportCSV(w io.Writer, g *Generator, ticks int) error {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	ids, rows := g.allRows()
 	for t := 0; t < ticks; t++ {
 		// Rows come out in (tick, VM, source) order so exports are
 		// byte-stable across runs.
-		for _, vm := range g.cfg.VMs {
-			lv := g.LoadsFor(vm.ID, t)
+		g.Fill(t, ids, rows)
+		for i, lv := range rows {
 			for src, l := range lv {
 				if l.RPS <= 0 {
 					continue
 				}
 				err := cw.Write([]string{
 					strconv.Itoa(t),
-					strconv.Itoa(int(vm.ID)),
+					strconv.Itoa(int(ids[i])),
 					strconv.Itoa(src),
 					f(l.RPS), f(l.BytesInReq), f(l.BytesOutRq), f(l.CPUTimeReq),
 				})

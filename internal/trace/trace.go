@@ -19,6 +19,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 
 	"repro/internal/model"
@@ -114,20 +115,58 @@ type Config struct {
 	DiurnalFloor float64
 }
 
-// Generator produces per-tick load vectors for every VM. It is not safe
-// for concurrent use: Fill and Loads share one reseedable draw stream.
+// Generator produces per-tick load vectors for every VM. Fill may be
+// called concurrently on disjoint rows: each call draws from its own
+// scratch stream, taken from a fixed free list.
 type Generator struct {
-	cfg  Config
-	byID map[model.VMID]*model.VMSpec
-	// scratch is the reusable per-(VM, tick) stream: each fill reseeds it
-	// to the state a fresh NewNamed(seed, "trace/<vm>/<tick>") would have,
-	// so the draws are identical to building one stream per call without
-	// the per-call allocations.
-	scratch *rng.Stream
-	nameBuf []byte
+	cfg Config
+	// vms holds one dense entry per distinct VM ID, resolved once here so
+	// the fill does no map lookups. Compact ID ranges (every built-in
+	// fleet) index it through dense; sparse ones through sparse.
+	vms    []vmEntry
+	base   model.VMID
+	dense  []int32 // id-base -> vms index, -1 when unknown
+	sparse map[model.VMID]int32
+	// homeShare and awayShare split a VM's clients: HomeBias at its home
+	// source, the remainder uniform across the others.
+	homeShare, awayShare float64
+	// free is the scratch free list. A prefilled channel rather than a
+	// sync.Pool: a GC empties a sync.Pool, and refilling it would allocate
+	// on the tick path.
+	free chan *fillScratch
 }
 
-// NewGenerator validates the configuration and builds a generator.
+// vmEntry is what the fill needs of one VM.
+type vmEntry struct {
+	home   int // home source: HomeDC modulo Sources
+	class  ServiceClass
+	scale  []float64    // Config.Scale row, nil when absent
+	crowds []FlashCrowd // this VM's crowds, in Config order
+}
+
+// fillScratch is the per-call state of Fill.
+type fillScratch struct {
+	// s is the reusable per-(VM, tick) stream: each row reseeds it to the
+	// state a fresh NewNamed(seed, "trace/<vm>/<tick>") would have, so the
+	// draws are identical to building one stream per row without the
+	// per-row allocations.
+	s    *rng.Stream
+	name []byte
+	day  []float64 // per-source diurnal factor of the tick being filled
+}
+
+// fillScratchSlots bounds how many Fill calls run at once; further
+// callers wait for a free scratch. The engine's tick pool never runs
+// wider than GOMAXPROCS, so its fill chunks never wait.
+func fillScratchSlots() int { return max(runtime.GOMAXPROCS(0), 8) }
+
+// denseSlack is how many unused slots the dense ID index may carry
+// beyond one per VM before the generator falls back to a map.
+const denseSlack = 1024
+
+// NewGenerator validates the configuration and builds a generator. It
+// does not write to the caller's Config: default classes live in the
+// generator's own per-VM entries, not in Config.ClassOf.
 func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Sources <= 0 {
 		return nil, fmt.Errorf("trace: Sources must be positive, got %d", cfg.Sources)
@@ -147,31 +186,88 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.HomeBias == 0 {
 		cfg.HomeBias = 0.6
 	}
-	if cfg.ClassOf == nil {
-		cfg.ClassOf = map[model.VMID]ServiceClass{}
+	g := &Generator{cfg: cfg, homeShare: 1}
+	if n := cfg.Sources; n > 1 {
+		g.homeShare = cfg.HomeBias
+		g.awayShare = (1 - cfg.HomeBias) / float64(n-1)
 	}
-	for i, vm := range cfg.VMs {
-		if _, ok := cfg.ClassOf[vm.ID]; !ok {
-			cfg.ClassOf[vm.ID] = ClassByIndex(i)
-		}
-	}
-	g := &Generator{
-		cfg:     cfg,
-		byID:    make(map[model.VMID]*model.VMSpec, len(cfg.VMs)),
-		scratch: rng.New(0, 0),
-		nameBuf: make([]byte, 0, 32),
-	}
-	for i := range cfg.VMs {
-		g.byID[cfg.VMs[i].ID] = &cfg.VMs[i]
+	g.indexVMs()
+	g.free = make(chan *fillScratch, fillScratchSlots())
+	for range cap(g.free) {
+		g.free <- &fillScratch{s: rng.New(0, 0), name: make([]byte, 0, 32), day: make([]float64, cfg.Sources)}
 	}
 	return g, nil
+}
+
+// indexVMs builds the dense per-VM entries and the ID index. A VM
+// without a ClassOf entry takes ClassByIndex of its position. A repeated
+// ID keeps one entry: the class of its first occurrence and the home of
+// its last.
+func (g *Generator) indexVMs() {
+	vms := g.cfg.VMs
+	lo, hi := vms[0].ID, vms[0].ID
+	for _, vm := range vms {
+		lo, hi = min(lo, vm.ID), max(hi, vm.ID)
+	}
+	if span := int(hi) - int(lo) + 1; span > 0 && span <= len(vms)+denseSlack {
+		g.base = lo
+		g.dense = make([]int32, span)
+		for k := range g.dense {
+			g.dense[k] = -1
+		}
+	} else {
+		g.sparse = make(map[model.VMID]int32, len(vms))
+	}
+	g.vms = make([]vmEntry, 0, len(vms))
+	for i := range vms {
+		id := vms[i].ID
+		k := g.index(id)
+		if k < 0 {
+			k = len(g.vms)
+			class, ok := g.cfg.ClassOf[id]
+			if !ok {
+				class = ClassByIndex(i)
+			}
+			g.vms = append(g.vms, vmEntry{class: class, scale: g.cfg.Scale[id]})
+			if g.dense != nil {
+				g.dense[id-g.base] = int32(k)
+			} else {
+				g.sparse[id] = int32(k)
+			}
+		}
+		g.vms[k].home = int(vms[i].HomeDC) % g.cfg.Sources
+	}
+	for _, c := range g.cfg.Crowds {
+		if k := g.index(c.VM); k >= 0 {
+			g.vms[k].crowds = append(g.vms[k].crowds, c)
+		}
+	}
+}
+
+// index returns the entry index of a VM ID, or -1 for an unknown one.
+func (g *Generator) index(id model.VMID) int {
+	if g.dense == nil {
+		if k, ok := g.sparse[id]; ok {
+			return int(k)
+		}
+		return -1
+	}
+	if k := uint(id - g.base); k < uint(len(g.dense)) {
+		return int(g.dense[k])
+	}
+	return -1
 }
 
 // Sources returns the number of client locations.
 func (g *Generator) Sources() int { return g.cfg.Sources }
 
 // Class returns the service class of a VM.
-func (g *Generator) Class(vm model.VMID) ServiceClass { return g.cfg.ClassOf[vm] }
+func (g *Generator) Class(vm model.VMID) ServiceClass {
+	if k := g.index(vm); k >= 0 {
+		return g.vms[k].class
+	}
+	return g.cfg.ClassOf[vm]
+}
 
 // diurnal returns the smooth day curve in [floor, 1] for a local hour.
 // Peak at 15:00 local time, trough around 03:00, as in web-hosting traces.
@@ -187,21 +283,36 @@ func diurnal(localHour, floor float64) float64 {
 // vms[i] into dst[i] for every i, overwriting every slot so rows can be
 // reused across ticks. Rows shorter than Sources receive a prefix; slots
 // beyond Sources are zeroed. The result is deterministic in (seed, tick)
-// and independent of query order. Fill performs no per-tick allocations.
+// and independent of query order and of how the rows are split between
+// calls. Fill is safe for concurrent calls on disjoint rows and performs
+// no allocations.
 func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
-	for i, id := range vms {
-		g.fillFor(id, tick, dst[i])
+	sc := <-g.free
+	// The diurnal factor depends only on (tick, source): once per call,
+	// not once per row.
+	hourUTC := float64(tick) / float64(model.TicksPerHour)
+	for loc := range sc.day {
+		tz := 0.0
+		if len(g.cfg.TZOffsetH) > 0 {
+			tz = g.cfg.TZOffsetH[loc]
+		}
+		localHour := math.Mod(hourUTC+tz+240, 24) // +240 keeps Mod positive
+		sc.day[loc] = diurnal(localHour, g.cfg.DiurnalFloor)
 	}
+	for i, id := range vms {
+		g.fillRow(sc, id, tick, dst[i])
+	}
+	g.free <- sc
 }
 
 // Loads returns the load vector of every VM at the given tick in a fresh
 // map — the convenience form of Fill for exporters and tests.
 func (g *Generator) Loads(tick int) map[model.VMID]model.LoadVector {
-	out := make(map[model.VMID]model.LoadVector, len(g.cfg.VMs))
-	for _, vm := range g.cfg.VMs {
-		lv := make(model.LoadVector, g.cfg.Sources)
-		g.fillFor(vm.ID, tick, lv)
-		out[vm.ID] = lv
+	ids, rows := g.allRows()
+	g.Fill(tick, ids, rows)
+	out := make(map[model.VMID]model.LoadVector, len(ids))
+	for i, id := range ids {
+		out[id] = rows[i]
 	}
 	return out
 }
@@ -209,50 +320,59 @@ func (g *Generator) Loads(tick int) map[model.VMID]model.LoadVector {
 // LoadsFor returns one VM's load vector at the given tick.
 func (g *Generator) LoadsFor(id model.VMID, tick int) model.LoadVector {
 	lv := make(model.LoadVector, g.cfg.Sources)
-	g.fillFor(id, tick, lv)
+	g.Fill(tick, []model.VMID{id}, []model.LoadVector{lv})
 	return lv
 }
 
-// tickStream reseeds the scratch stream to the deterministic per-(vm, tick)
-// state, equivalent to rng.NewNamed(seed, fmt.Sprintf("trace/%s/%d", vm, tick))
-// without the allocations.
-func (g *Generator) tickStream(id model.VMID, tick int) *rng.Stream {
-	b := append(g.nameBuf[:0], "trace/vm"...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(tick), 10)
-	g.nameBuf = b
-	g.scratch.Reseed(g.cfg.Seed, rng.NamedSeedBytes(b))
-	return g.scratch
+// allRows returns the configured VM IDs in Config order with one fresh
+// Sources-long row each.
+func (g *Generator) allRows() ([]model.VMID, []model.LoadVector) {
+	n := len(g.cfg.VMs)
+	ids := make([]model.VMID, n)
+	rows := make([]model.LoadVector, n)
+	backing := make(model.LoadVector, n*g.cfg.Sources)
+	for i, vm := range g.cfg.VMs {
+		ids[i] = vm.ID
+		rows[i] = backing[i*g.cfg.Sources : (i+1)*g.cfg.Sources : (i+1)*g.cfg.Sources]
+	}
+	return ids, rows
 }
 
-func (g *Generator) fillFor(id model.VMID, tick int, row model.LoadVector) {
+// fillRow writes one VM's row from the scratch's per-tick diurnal factors
+// and a per-(VM, tick) stream, so noise does not depend on how many times
+// or in what order ticks are queried.
+func (g *Generator) fillRow(sc *fillScratch, id model.VMID, tick int, row model.LoadVector) {
 	for i := range row {
 		row[i] = model.Load{}
 	}
-	vm, ok := g.byID[id]
-	if !ok {
+	k := g.index(id)
+	if k < 0 {
 		return
 	}
-	class := g.cfg.ClassOf[id]
-	// Deterministic per-(vm, tick) stream: noise does not depend on how many
-	// times or in what order ticks are queried.
-	s := g.tickStream(id, tick)
-	hourUTC := float64(tick) / float64(model.TicksPerHour)
+	vm := &g.vms[k]
+	class := &vm.class
+	b := append(sc.name[:0], "trace/vm"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(tick), 10)
+	sc.name = b
+	s := sc.s
+	s.Reseed(g.cfg.Seed, rng.NamedSeedBytes(b))
 	for loc := 0; loc < g.cfg.Sources; loc++ {
-		tz := 0.0
-		if len(g.cfg.TZOffsetH) > 0 {
-			tz = g.cfg.TZOffsetH[loc]
+		share := g.awayShare
+		if loc == vm.home {
+			share = g.homeShare
 		}
-		localHour := math.Mod(hourUTC+tz+240, 24) // +240 keeps Mod positive
-		day := diurnal(localHour, g.cfg.DiurnalFloor)
-		share := g.sourceShare(*vm, model.LocationID(loc))
-		rate := class.BaseRPS * day * share
-		rate *= g.scale(id, loc)
+		rate := class.BaseRPS * sc.day[loc] * share
+		scale := 1.0
+		if loc < len(vm.scale) {
+			scale = vm.scale[loc]
+		}
+		rate *= scale
 		if g.cfg.NoiseSD > 0 {
 			rate *= s.LogNormal(-g.cfg.NoiseSD*g.cfg.NoiseSD/2, g.cfg.NoiseSD)
 		}
-		rate += g.crowdBoost(id, model.LocationID(loc), tick, class.BaseRPS)
+		rate += crowdBoost(vm.crowds, model.LocationID(loc), tick, class.BaseRPS)
 		if rate < 0 {
 			rate = 0
 		}
@@ -279,34 +399,11 @@ func (g *Generator) fillFor(id model.VMID, tick int, row model.LoadVector) {
 	}
 }
 
-// sourceShare distributes a VM's clients: HomeBias at the home location,
-// the remainder uniform across the others.
-func (g *Generator) sourceShare(vm model.VMSpec, loc model.LocationID) float64 {
-	n := g.cfg.Sources
-	if n == 1 {
-		return 1
-	}
-	home := model.LocationID(int(vm.HomeDC) % n)
-	if loc == home {
-		return g.cfg.HomeBias
-	}
-	return (1 - g.cfg.HomeBias) / float64(n-1)
-}
-
-func (g *Generator) scale(vm model.VMID, loc int) float64 {
-	if g.cfg.Scale == nil {
-		return 1
-	}
-	row, ok := g.cfg.Scale[vm]
-	if !ok || loc >= len(row) {
-		return 1
-	}
-	return row[loc]
-}
-
-func (g *Generator) crowdBoost(vm model.VMID, loc model.LocationID, tick int, baseRPS float64) float64 {
-	for _, c := range g.cfg.Crowds {
-		if c.VM != vm || c.Source != loc {
+// crowdBoost is the extra request rate of the first of one VM's crowds
+// that covers (loc, tick), or 0.
+func crowdBoost(crowds []FlashCrowd, loc model.LocationID, tick int, baseRPS float64) float64 {
+	for _, c := range crowds {
+		if c.Source != loc {
 			continue
 		}
 		if tick < c.StartTick || tick >= c.EndTick {
