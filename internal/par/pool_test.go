@@ -17,6 +17,21 @@ func withProcs(t *testing.T, n int) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// under which every pool call runs inline on the caller and the sharded
+// path goes unmeasured. Like AllocsPerRun it runs f once first and
+// truncates the average.
+func allocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
 // TestPoolRunCoversRangeOnce: every index of every call is visited
 // exactly once, by a worker id in range, over many back-to-back calls of
 // varying sizes — including calls narrower than the pool.
@@ -85,8 +100,8 @@ func TestPoolRunZeroAlloc(t *testing.T) {
 		for range 10 {
 			p.Run(len(sum), fn)
 		}
-		if avg := testing.AllocsPerRun(200, func() { p.Run(len(sum), fn) }); avg != 0 {
-			t.Fatalf("workers=%d: Run allocates %.1f times per call, want 0", workers, avg)
+		if avg := allocsPerRun(200, func() { p.Run(len(sum), fn) }); avg != 0 {
+			t.Fatalf("workers=%d: Run allocates %d times per call, want 0", workers, avg)
 		}
 		p.Close()
 	}
@@ -101,6 +116,7 @@ func TestPoolStoppedWhenUnreachable(t *testing.T) {
 		pool *Pool
 		hits []int
 	}
+	withProcs(t, 4)
 	base := settledGoroutines()
 	func() {
 		o := &owner{pool: NewPool(4), hits: make([]int, 100)}
@@ -112,6 +128,34 @@ func TestPoolStoppedWhenUnreachable(t *testing.T) {
 	}()
 	if !waitGoroutines(base, 5*time.Second) {
 		t.Fatalf("%d goroutines, want %d: dropped pool's workers still running", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestPoolWidthCappedAtProcs: a pool starts no goroutine that
+// GOMAXPROCS would leave without work, and raising GOMAXPROCS later does
+// not widen its calls.
+func TestPoolWidthCappedAtProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	base := settledGoroutines()
+	p := NewPool(4)
+	defer p.Close()
+	if n := runtime.NumGoroutine(); n != base+1 {
+		t.Fatalf("4-wide pool at GOMAXPROCS 2 runs %d goroutines, want %d", n-base, 1)
+	}
+	if got := p.Workers(); got != 4 {
+		t.Fatalf("Workers() = %d, want the configured 4", got)
+	}
+	runtime.GOMAXPROCS(4)
+	var maxW atomic.Int32
+	for range 20 {
+		p.Run(4000, func(w, lo, hi int) {
+			for m := maxW.Load(); int32(w) > m && !maxW.CompareAndSwap(m, int32(w)); m = maxW.Load() {
+			}
+		})
+	}
+	if m := maxW.Load(); m > 1 {
+		t.Fatalf("worker id %d in a pool made 2 wide", m)
 	}
 }
 

@@ -35,6 +35,21 @@ func withProcs(t *testing.T, n int) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// under which every pool call runs inline on the caller and the sharded
+// path goes unmeasured. Like AllocsPerRun it runs f once first and
+// truncates the average.
+func allocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
 // shardFleet builds one engine of the determinism suite at a tick width;
 // between runs before every tick, at fixed points of the run.
 type shardFleet func(t *testing.T, workers int) (e *sim.Engine, between func(tick int))
@@ -323,9 +338,38 @@ func TestEngineStepZeroAllocSharded(t *testing.T) {
 		for i := 0; i < 30; i++ { // warmup: monitor rings reach capacity
 			eng.Step()
 		}
-		if avg := testing.AllocsPerRun(100, func() { eng.Step() }); avg != 0 {
-			t.Fatalf("TickWorkers=%d: Engine.Step allocates %.1f times per tick, want 0", workers, avg)
+		if avg := allocsPerRun(100, func() { eng.Step() }); avg != 0 {
+			t.Fatalf("TickWorkers=%d: Engine.Step allocates %d times per tick, want 0", workers, avg)
 		}
+	}
+}
+
+// TestEngineStepZeroAllocAfterProcsRaised: a generator built at
+// GOMAXPROCS 1 holds one fill scratch. Widening the engine afterwards
+// must not make its fill chunks wait for one or keep allocating: the
+// free list grows to the widest tick seen and then serves every chunk.
+func TestEngineStepZeroAllocAfterProcsRaised(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	sc, err := scenario.Build(scenario.Spec{
+		Name: "shard-procs", Seed: 5,
+		DCs: 6, PMsPerDC: 8, VMs: 300,
+		LoadScale: 1.2, NoiseSD: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	sc.World.SetTickWorkers(4)
+	eng := sc.World.Engine
+	for i := 0; i < 30; i++ {
+		eng.Step()
+	}
+	if avg := allocsPerRun(100, func() { eng.Step() }); avg != 0 {
+		t.Fatalf("Engine.Step allocates %d times per tick after GOMAXPROCS was raised, want 0", avg)
 	}
 }
 
@@ -333,6 +377,7 @@ func TestEngineStepZeroAllocSharded(t *testing.T) {
 // and benchmarks discard many of them. A dropped sharded engine's pool
 // workers must stop once it is collected, and must not keep it alive.
 func TestEngineWorkersStoppedWhenDropped(t *testing.T) {
+	withProcs(t, 4)
 	// Let the workers of engines dropped by earlier tests exit first, so
 	// they do not inflate the baseline.
 	runtime.GC()

@@ -119,8 +119,12 @@ type Config struct {
 	// the chunked workload fill and the per-DC resolution (Engine.Step).
 	// Results are byte-identical at any worker count, and the tick is
 	// allocation-free at any count; <= 1 (the default) runs on the
-	// caller alone. Wider engines keep TickWorkers-1 goroutines idle
-	// between ticks, stopped when the engine is garbage collected.
+	// caller alone. Wider engines keep min(TickWorkers, GOMAXPROCS)-1
+	// goroutines between ticks, stopped when the engine is garbage
+	// collected. They poll rather than park: each spins 200µs after a
+	// tick, then sleeps an eighth of its idle time per check, from 1ms
+	// up to 8ms, so an engine idle between ticks costs each of them one
+	// wakeup every 8ms.
 	TickWorkers int
 }
 

@@ -1,8 +1,9 @@
 package trace
 
 // Fill parity: the production Fill hoists the diurnal curve to once per
-// call, resolves each VM through a dense entry instead of map lookups,
-// scans only the VM's own crowds and runs concurrently on disjoint rows.
+// call, resolves each VM through one entry instead of 3 + Sources map
+// lookups, scans only the VM's own crowds and runs concurrently on
+// disjoint rows.
 // None of that may move a bit. oracle below is the generator's fill as it
 // was before those changes, kept only as the reference to compare with.
 
@@ -280,8 +281,8 @@ func sameLoad(a, b model.Load) bool {
 		math.Float64bits(a.CPUTimeReq) == math.Float64bits(b.CPUTimeReq)
 }
 
-// TestFillCrowdFirstWins pins the overlap rule the dense per-VM crowd
-// lists must keep: where two crowds cover the same (VM, source, tick),
+// TestFillCrowdFirstWins pins the overlap rule the per-VM crowd lists
+// must keep: where two crowds cover the same (VM, source, tick),
 // the one listed first sets the boost.
 func TestFillCrowdFirstWins(t *testing.T) {
 	cfg := baseConfig()

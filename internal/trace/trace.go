@@ -117,20 +117,17 @@ type Config struct {
 
 // Generator produces per-tick load vectors for every VM. Fill may be
 // called concurrently on disjoint rows: each call draws from its own
-// scratch stream, taken from a fixed free list.
+// scratch stream, taken from a free list.
 type Generator struct {
 	cfg Config
-	// vms holds one dense entry per distinct VM ID, resolved once here so
-	// the fill does no map lookups. Compact ID ranges (every built-in
-	// fleet) index it through dense; sparse ones through sparse.
-	vms    []vmEntry
-	base   model.VMID
-	dense  []int32 // id-base -> vms index, -1 when unknown
-	sparse map[model.VMID]int32
+	// vms holds one entry per distinct VM ID, resolved once here so the
+	// fill does one map lookup per row; byID maps an ID to its entry.
+	vms  []vmEntry
+	byID map[model.VMID]int32
 	// homeShare and awayShare split a VM's clients: HomeBias at its home
 	// source, the remainder uniform across the others.
 	homeShare, awayShare float64
-	// free is the scratch free list. A prefilled channel rather than a
+	// free is the scratch free list. A buffered channel rather than a
 	// sync.Pool: a GC empties a sync.Pool, and refilling it would allocate
 	// on the tick path.
 	free chan *fillScratch
@@ -155,14 +152,12 @@ type fillScratch struct {
 	day  []float64 // per-source diurnal factor of the tick being filled
 }
 
-// fillScratchSlots bounds how many Fill calls run at once; further
-// callers wait for a free scratch. The engine's tick pool never runs
-// wider than GOMAXPROCS, so its fill chunks never wait.
-func fillScratchSlots() int { return max(runtime.GOMAXPROCS(0), 8) }
-
-// denseSlack is how many unused slots the dense ID index may carry
-// beyond one per VM before the generator falls back to a map.
-const denseSlack = 1024
+// maxFillScratch bounds the free list. Fill never waits for a scratch:
+// with the list empty it allocates one, which then joins the list, so
+// after the widest round of concurrent calls so far Fill allocates
+// nothing again. Only beyond maxFillScratch concurrent calls do the
+// extra scratches get dropped, and those calls allocate every time.
+const maxFillScratch = 256
 
 // NewGenerator validates the configuration and builds a generator. It
 // does not write to the caller's Config: default classes live in the
@@ -192,70 +187,43 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.awayShare = (1 - cfg.HomeBias) / float64(n-1)
 	}
 	g.indexVMs()
-	g.free = make(chan *fillScratch, fillScratchSlots())
-	for range cap(g.free) {
-		g.free <- &fillScratch{s: rng.New(0, 0), name: make([]byte, 0, 32), day: make([]float64, cfg.Sources)}
+	g.free = make(chan *fillScratch, maxFillScratch)
+	for range min(runtime.GOMAXPROCS(0), maxFillScratch) {
+		g.free <- g.newScratch()
 	}
 	return g, nil
 }
 
-// indexVMs builds the dense per-VM entries and the ID index. A VM
-// without a ClassOf entry takes ClassByIndex of its position. A repeated
-// ID keeps one entry: the class of its first occurrence and the home of
-// its last.
+func (g *Generator) newScratch() *fillScratch {
+	return &fillScratch{s: rng.New(0, 0), name: make([]byte, 0, 32), day: make([]float64, g.cfg.Sources)}
+}
+
+// indexVMs builds the per-VM entries and the ID index. A VM without a
+// ClassOf entry takes ClassByIndex of its position. A repeated ID keeps
+// one entry: the class of its first occurrence and the home of its last.
 func (g *Generator) indexVMs() {
 	vms := g.cfg.VMs
-	lo, hi := vms[0].ID, vms[0].ID
-	for _, vm := range vms {
-		lo, hi = min(lo, vm.ID), max(hi, vm.ID)
-	}
-	if span := int(hi) - int(lo) + 1; span > 0 && span <= len(vms)+denseSlack {
-		g.base = lo
-		g.dense = make([]int32, span)
-		for k := range g.dense {
-			g.dense[k] = -1
-		}
-	} else {
-		g.sparse = make(map[model.VMID]int32, len(vms))
-	}
+	g.byID = make(map[model.VMID]int32, len(vms))
 	g.vms = make([]vmEntry, 0, len(vms))
 	for i := range vms {
 		id := vms[i].ID
-		k := g.index(id)
-		if k < 0 {
-			k = len(g.vms)
+		k, ok := g.byID[id]
+		if !ok {
+			k = int32(len(g.vms))
 			class, ok := g.cfg.ClassOf[id]
 			if !ok {
 				class = ClassByIndex(i)
 			}
 			g.vms = append(g.vms, vmEntry{class: class, scale: g.cfg.Scale[id]})
-			if g.dense != nil {
-				g.dense[id-g.base] = int32(k)
-			} else {
-				g.sparse[id] = int32(k)
-			}
+			g.byID[id] = k
 		}
 		g.vms[k].home = int(vms[i].HomeDC) % g.cfg.Sources
 	}
 	for _, c := range g.cfg.Crowds {
-		if k := g.index(c.VM); k >= 0 {
+		if k, ok := g.byID[c.VM]; ok {
 			g.vms[k].crowds = append(g.vms[k].crowds, c)
 		}
 	}
-}
-
-// index returns the entry index of a VM ID, or -1 for an unknown one.
-func (g *Generator) index(id model.VMID) int {
-	if g.dense == nil {
-		if k, ok := g.sparse[id]; ok {
-			return int(k)
-		}
-		return -1
-	}
-	if k := uint(id - g.base); k < uint(len(g.dense)) {
-		return int(g.dense[k])
-	}
-	return -1
 }
 
 // Sources returns the number of client locations.
@@ -263,7 +231,7 @@ func (g *Generator) Sources() int { return g.cfg.Sources }
 
 // Class returns the service class of a VM.
 func (g *Generator) Class(vm model.VMID) ServiceClass {
-	if k := g.index(vm); k >= 0 {
+	if k, ok := g.byID[vm]; ok {
 		return g.vms[k].class
 	}
 	return g.cfg.ClassOf[vm]
@@ -284,10 +252,15 @@ func diurnal(localHour, floor float64) float64 {
 // reused across ticks. Rows shorter than Sources receive a prefix; slots
 // beyond Sources are zeroed. The result is deterministic in (seed, tick)
 // and independent of query order and of how the rows are split between
-// calls. Fill is safe for concurrent calls on disjoint rows and performs
-// no allocations.
+// calls. Fill is safe for concurrent calls on disjoint rows, and it
+// allocates nothing once it has served as many concurrent calls before.
 func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
-	sc := <-g.free
+	var sc *fillScratch
+	select {
+	case sc = <-g.free:
+	default:
+		sc = g.newScratch()
+	}
 	// The diurnal factor depends only on (tick, source): once per call,
 	// not once per row.
 	hourUTC := float64(tick) / float64(model.TicksPerHour)
@@ -302,7 +275,10 @@ func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
 	for i, id := range vms {
 		g.fillRow(sc, id, tick, dst[i])
 	}
-	g.free <- sc
+	select {
+	case g.free <- sc:
+	default:
+	}
 }
 
 // Loads returns the load vector of every VM at the given tick in a fresh
@@ -345,8 +321,8 @@ func (g *Generator) fillRow(sc *fillScratch, id model.VMID, tick int, row model.
 	for i := range row {
 		row[i] = model.Load{}
 	}
-	k := g.index(id)
-	if k < 0 {
+	k, ok := g.byID[id]
+	if !ok {
 		return
 	}
 	vm := &g.vms[k]
