@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lifecycle"
 	"repro/internal/model"
@@ -63,6 +64,10 @@ type Manager struct {
 	problem   sched.Problem
 	loadBufs  []model.LoadVector
 	placement model.Placement
+	// into is cfg.Scheduler's allocation-free form, resolved once: a
+	// per-round interface assertion fills its runtime cache lazily, with
+	// an allocation in some arbitrary round.
+	into intoScheduler
 	// hostedFn is the reusable placement probe handed to the lifecycle
 	// runner after each round (built once, no per-round closure).
 	hostedFn func(model.VMID) bool
@@ -117,7 +122,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.RoundTicks <= 0 {
 		cfg.RoundTicks = 10
 	}
-	return &Manager{cfg: cfg}, nil
+	m := &Manager{cfg: cfg}
+	m.into, _ = cfg.Scheduler.(intoScheduler)
+	return m, nil
 }
 
 // Rounds returns how many scheduling rounds have executed.
@@ -148,9 +155,18 @@ func (m *Manager) BuildProblem() *sched.Problem {
 	nDC := w.Topology().NumDCs()
 	p := &m.problem
 	p.Tick = w.Tick()
+	nVM, nPM := w.NumVMs(), w.NumPMs()
+	// Size everything for every slot up front: a fresh Manager's first
+	// round would otherwise grow these slices one append at a time.
+	if cap(p.VMs) < nVM {
+		p.VMs = make([]sched.VMInfo, 0, nVM)
+	}
+	if cap(p.Hosts) < nPM {
+		p.Hosts = make([]sched.HostInfo, 0, nPM)
+	}
 	p.VMs = p.VMs[:0]
 	p.Hosts = p.Hosts[:0]
-	nVM, nPM := w.NumVMs(), w.NumPMs()
+	m.growLoadBufs(nVM, nDC)
 	for i := 0; i < nVM; i++ {
 		if !w.ActiveVM(i) {
 			continue // retired slot under workload churn
@@ -171,15 +187,7 @@ func (m *Manager) BuildProblem() *sched.Problem {
 		}
 		// One reusable per-slot load vector: the truth row aliases engine
 		// buffers, so it is copied (not referenced) before scaling.
-		if len(p.VMs) == len(m.loadBufs) {
-			m.loadBufs = append(m.loadBufs, make(model.LoadVector, nDC))
-		}
 		buf := m.loadBufs[len(p.VMs)]
-		if cap(buf) < nDC {
-			buf = make(model.LoadVector, nDC)
-			m.loadBufs[len(p.VMs)] = buf
-		}
-		buf = buf[:nDC]
 		if truth, ok := w.VMTruthByIndex(i); ok {
 			copy(buf, truth.Load)
 			info.Load = buf
@@ -219,6 +227,21 @@ func (m *Manager) BuildProblem() *sched.Problem {
 	return p
 }
 
+// growLoadBufs makes loadBufs hold n vectors of nDC loads each. New
+// vectors are cut from one slab; the 3-index slices cap each at nDC, so
+// no vector can grow into its neighbour.
+func (m *Manager) growLoadBufs(n, nDC int) {
+	add := n - len(m.loadBufs)
+	if add <= 0 {
+		return
+	}
+	slab := make(model.LoadVector, add*nDC)
+	m.loadBufs = slices.Grow(m.loadBufs, add)
+	for k := 0; k < add; k++ {
+		m.loadBufs = append(m.loadBufs, slab[k*nDC:(k+1)*nDC:(k+1)*nDC])
+	}
+}
+
 // Step advances the world one tick. Event order within the tick: fault
 // events land first (crashes and drains must be visible to this tick's
 // admission and round), then lifecycle events (departures, then
@@ -249,7 +272,7 @@ func (m *Manager) Step() (sim.TickStats, error) {
 	if t > 0 && t%m.cfg.RoundTicks == 0 && m.numCandidates() > 0 {
 		problem := m.BuildProblem()
 		var placement model.Placement
-		if is, ok := m.cfg.Scheduler.(intoScheduler); ok {
+		if is := m.into; is != nil {
 			if m.placement == nil {
 				m.placement = make(model.Placement, len(problem.VMs))
 			} else {

@@ -33,7 +33,23 @@ type BatchRegressor interface {
 
 // PredictBuffered routes through the zero-alloc path when the regressor has
 // one and falls back to the plain (possibly allocating) Predict otherwise.
+//
+// The package's own regressors are matched by concrete type, which is a
+// type-word compare. The interface assertion that serves other types is
+// backed by a runtime cache filled lazily, on a random one call in about a
+// thousand, with a small heap allocation; on a hot path that allocation
+// lands in some arbitrary steady-state call.
 func PredictBuffered(r Regressor, x []float64, b *Buf) float64 {
+	switch m := r.(type) {
+	case *KNN:
+		return m.PredictBuf(x, b)
+	case *Bagged:
+		return m.PredictBuf(x, b)
+	case *M5P:
+		return m.Predict(x)
+	case *Linear:
+		return m.Predict(x)
+	}
 	if br, ok := r.(BufferedRegressor); ok {
 		return br.PredictBuf(x, b)
 	}
@@ -47,9 +63,16 @@ func PredictBatchBuffered(r Regressor, xs []float64, n int, out []float64, b *Bu
 	if n <= 0 {
 		return
 	}
-	if br, ok := r.(BatchRegressor); ok {
-		br.PredictBatchBuf(xs, n, out, b)
+	switch m := r.(type) {
+	case *KNN:
+		m.PredictBatchBuf(xs, n, out, b)
 		return
+	case *Bagged, *M5P, *Linear: // no batch path
+	default:
+		if br, ok := r.(BatchRegressor); ok {
+			br.PredictBatchBuf(xs, n, out, b)
+			return
+		}
 	}
 	d := len(xs) / n
 	for i := 0; i < n; i++ {

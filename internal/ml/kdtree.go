@@ -13,6 +13,10 @@ import (
 // over adjacent memory. Interior nodes hold no points — they only split —
 // which is what lets the scan stay branch-light.
 //
+// Every node also stores the tight bounding box of the points under it,
+// so the search can skip a far subtree whose box is already out of reach
+// even when its splitting plane is not (see search).
+//
 // The k-nearest set it returns is identical to the classic
 // one-point-per-node tree's (and to brute force) up to exact distance
 // ties: pruning uses the strict d2 < bound test matching the heap's
@@ -24,11 +28,17 @@ type kdTree struct {
 	thresh []float64 // interior: split value (left side strictly below)
 	first  []int32   // interior: left child id; leaf: first point slot
 	count  []int32   // leaf: points in the bucket; 0 for interior
+	// box holds each node's bounding box, min and max interleaved per
+	// axis: box[id*2*dims+2*a] and box[id*2*dims+2*a+1] bound axis a.
+	box []float64
 
 	// Point storage in tree order.
 	coords []float64 // slot-major rows: coords[slot*dims : (slot+1)*dims]
 	ptIdx  []int32   // slot -> index into the owner's row storage
 	dims   int
+	// finite records that every stored coordinate is finite, which the
+	// box bound needs (see boxWithin).
+	finite bool
 }
 
 // kdLeafSize is the bucket capacity: big enough that the contiguous scan
@@ -43,6 +53,7 @@ func buildKDTree(points [][]float64, n int) *kdTree {
 		return t
 	}
 	t.dims = len(points[0])
+	t.finite = true
 	t.coords = make([]float64, 0, n*t.dims)
 	t.ptIdx = make([]int32, 0, n)
 	b := kdBuilder{t: t, points: points}
@@ -74,7 +85,14 @@ func (b *kdBuilder) alloc(n int) int32 {
 		t.first = append(t.first, 0)
 		t.count = append(t.count, 0)
 	}
+	t.box = append(t.box, make([]float64, n*2*t.dims)...)
 	return id
+}
+
+// nodeBox is node id's bounding box, min/max interleaved per axis.
+func (t *kdTree) nodeBox(id int32) []float64 {
+	w := 2 * t.dims
+	return t.box[int(id)*w : int(id)*w+w]
 }
 
 // fill turns the already-allocated record id into a leaf or a split over
@@ -117,16 +135,31 @@ func (b *kdBuilder) fill(id int32, idx []int) {
 	t.count[id] = 0
 	b.fill(left, idx[:mid])
 	b.fill(left+1, idx[mid:])
+	bx, l, r := t.nodeBox(id), t.nodeBox(left), t.nodeBox(left+1)
+	for a := 0; a < len(bx); a += 2 {
+		bx[a], bx[a+1] = min(l[a], r[a]), max(l[a+1], r[a+1])
+	}
 }
 
-// leaf copies the bucket's points into the contiguous backing array.
+// leaf copies the bucket's points into the contiguous backing array and
+// records their bounding box.
 func (b *kdBuilder) leaf(id int32, idx []int) {
 	t := b.t
 	t.first[id] = int32(len(t.ptIdx))
 	t.count[id] = int32(len(idx))
+	bx := t.nodeBox(id)
+	for a, v := range b.points[idx[0]] {
+		bx[2*a], bx[2*a+1] = v, v
+	}
 	for _, p := range idx {
 		t.ptIdx = append(t.ptIdx, int32(p))
 		t.coords = append(t.coords, b.points[p]...)
+		for a, v := range b.points[p] {
+			bx[2*a], bx[2*a+1] = min(bx[2*a], v), max(bx[2*a+1], v)
+			if !isFinite(v) {
+				t.finite = false
+			}
+		}
 	}
 }
 
@@ -188,8 +221,14 @@ type kdTask struct {
 // distance, scan the leaf, then pop. The stack is LIFO, so a far entry is
 // popped exactly when its near sibling's subtree has completed — the heap
 // bound at pop time equals the bound the recursion would have tested after
-// returning from the near call. Visit order, pruning decisions and
-// therefore results are bit-identical to the recursive form.
+// returning from the near call.
+//
+// A popped subtree is visited only if it passes two tests against the
+// worst-of-k distance: the plane test (diff² < worst, one compare) and
+// then the box test (boxWithin). Both only skip subtrees whose every
+// point the strict d2 < worst leaf test would reject, so a skip leaves
+// the heap exactly as the visit would have: visit order, heaps, tie
+// outcomes and predictions are bit-identical to plane-only pruning.
 func (t *kdTree) search(q []float64, k int, h *neighborHeap, stack *[]kdTask) {
 	if len(t.first) == 0 {
 		return
@@ -208,8 +247,7 @@ func (t *kdTree) search(q []float64, k int, h *neighborHeap, stack *[]kdTask) {
 			id = near
 		}
 		t.scanLeaf(id, q, k, h)
-		// Pop the next surviving far subtree. The prune test is the same
-		// h.Len() < k || diff² < worst-of-k test the recursion applies.
+		// Pop the next surviving far subtree.
 		for {
 			if len(st) == 0 {
 				*stack = st
@@ -217,13 +255,65 @@ func (t *kdTree) search(q []float64, k int, h *neighborHeap, stack *[]kdTask) {
 			}
 			e := st[len(st)-1]
 			st = st[:len(st)-1]
-			if h.Len() < k || e.diff2 < (*h)[0].d2 {
+			if h.Len() < k {
+				id = e.id
+				break
+			}
+			worst := (*h)[0].d2
+			if e.diff2 < worst && (!t.finite || t.boxWithin(e.id, q, worst)) {
 				id = e.id
 				break
 			}
 		}
 	}
 }
+
+// boxWithin reports whether the squared distance from q to node id's
+// bounding box is below bound. The distance is summed axis by axis, left
+// to right, with the same d := q - edge; s += d*d steps as the leaf
+// kernel (the same expression shape, so a platform that fuses the
+// multiply-add fuses both), and exits as soon as the partial sum reaches
+// bound.
+//
+// That makes it a lower bound in floating point, not only in exact
+// arithmetic: for a point p in the box, every axis term satisfies
+// |q - edge| <= |q - p| after rounding (subtraction and squaring are
+// monotone) or is zero, and rounded addition of non-negative terms is
+// monotone, so every partial sum here is <= the matching partial sum of
+// leafDistWithin(q, p). A box at or beyond bound therefore holds only
+// points that leafDistWithin rejects. (An incremental rd - old + new
+// update is not monotone after rounding, so it is not used.)
+//
+// The argument needs finite stored points: a NaN coordinate, or an
+// infinite one meeting an infinite query coordinate, makes that point's
+// distance NaN, which the leaf test accepts, so search skips the box test
+// on trees with non-finite points. Non-finite queries need no such guard:
+// a NaN coordinate makes every distance NaN, so once the heap is full the
+// bound is NaN and no box test fails, and an infinite one makes every
+// distance +Inf, which the leaf test rejects anyway.
+func (t *kdTree) boxWithin(id int32, q []float64, bound float64) bool {
+	b := t.nodeBox(id)
+	b = b[:2*len(q)] // bounds-check hint
+	var s float64
+	for a, v := range q {
+		var d float64
+		if lo := b[2*a]; v < lo {
+			d = v - lo
+		} else if hi := b[2*a+1]; v > hi {
+			d = v - hi
+		} else {
+			continue
+		}
+		s += d * d
+		if s >= bound {
+			return false
+		}
+	}
+	return true
+}
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return v-v == 0 }
 
 // scanLeaf runs one leaf bucket through the neighbour heap. The warm-up
 // phase (heap not yet holding k candidates) pays the full distance and

@@ -38,15 +38,15 @@ type Scratch struct {
 	rtProc  []float64
 	rows    []float64
 
-	// Marginal-energy memo: while one VM is scored against every host,
-	// hosts in the same tentative state (all still-empty hosts, notably)
-	// pose the identical PM-CPU query, so the marginal facility watts are
-	// memoized per exact host-state key in a direct-mapped table. Slots
-	// are validated by an epoch stamp (bumped when the scored VM changes)
-	// instead of being cleared, and a last-key fast path serves the long
-	// runs of identically-stated hosts without hashing. PMCPU is pure and
-	// the keys are exact floats, so hits are bit-identical; collisions
-	// merely recompute.
+	// Marginal-energy memo (memoWatts): while the exhaustive scan scores
+	// one VM against every host, hosts in the same tentative state (all
+	// still-empty hosts, notably) pose the identical PM-CPU query, so the
+	// marginal facility watts are memoized per exact host-state key in a
+	// direct-mapped table. Slots are validated by an epoch stamp (bumped
+	// when the scored VM changes) instead of being cleared, and a last-key
+	// fast path serves the long runs of identically-stated hosts without
+	// hashing. PMCPU is pure and the keys are exact floats, so hits are
+	// bit-identical; collisions merely recompute.
 	eRound *Round
 	eGen   uint64
 	eVM    int
@@ -69,10 +69,20 @@ type energyKey struct {
 }
 
 // marginalWatts returns the marginal facility draw of adding VM i (using
-// vmCPU of its tentative grant) to host j, memoized on the host's exact
-// tentative state. The baseline draw is itself a pure function of that
-// state, so the whole difference memoizes.
-func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
+// vmCPU of its tentative grant) to host j: one PMCPU query for the host's
+// new aggregate against its cached baseline draw.
+func (r *Round) marginalWatts(i, j int, vmCPU float64, s *Scratch) float64 {
+	newPM := r.est.PMCPU(r.hGuests[j]+1, r.hSumCPU[j]+vmCPU, r.hSumRPS[j]+r.vms[i].Total.RPS, s)
+	newPM = clampF(newPM, 0, r.hCapCPU[j])
+	return r.facilityWatts(newPM) - r.hWattsBefore[j]
+}
+
+// memoWatts is marginalWatts memoized on the host's exact tentative state.
+// The baseline draw is itself a pure function of that state, so the whole
+// difference memoizes. Only the exhaustive scan uses it: there many hosts
+// share a state, while the shortlist already scores one host per state
+// class and would almost never hit.
+func (s *Scratch) memoWatts(r *Round, i, j int, vmCPU float64) float64 {
 	if s.eRound != r || s.eGen != r.gen || s.eVM != i {
 		s.eRound, s.eGen, s.eVM = r, r.gen, i
 		s.eEpoch++
@@ -93,9 +103,7 @@ func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
 		s.eLast, s.eLastW = *e, s.eWatts[slot]
 		return s.eWatts[slot]
 	}
-	newPM := r.est.PMCPU(guests+1, sumCPU+vmCPU, sumRPS+r.vms[i].Total.RPS, s)
-	newPM = clampF(newPM, 0, cap)
-	w := r.facilityWatts(newPM) - r.hWattsBefore[j]
+	w := r.marginalWatts(i, j, vmCPU, s)
 	*e = energyKey{sumCPU: sumCPU, sumRPS: sumRPS, cap: cap, vmCPU: vmCPU, guests: guests, epoch: s.eEpoch}
 	s.eLast, s.eLastW = *e, w
 	s.eWatts[slot] = w

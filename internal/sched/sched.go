@@ -331,8 +331,7 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 		return fmt.Errorf("sched: estimator is nil")
 	}
 	r.cost, r.est, r.vms, r.tick = cost, est, p.VMs, p.Tick
-	r.estProc, _ = est.(SLAProcEstimator)
-	r.estBatch, _ = est.(BatchSLAEstimator)
+	r.estProc, r.estBatch = estimatorViews(est)
 	r.gen++
 	nV, nH := len(p.VMs), len(p.Hosts)
 	r.nDC = cost.Top.NumDCs()
@@ -426,10 +425,7 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 
 	// Power: grab the raw curve when the model exposes one, then prime the
 	// per-host baseline watts.
-	r.curve = nil
-	if cm, ok := cost.Power.(power.CurveModel); ok {
-		r.curve = cm.CurvePoints()
-	}
+	r.curve = curvePoints(cost.Power)
 	r.needWatts = cost.EnergyAware && !cost.LatencyOnly
 	if r.needWatts {
 		for j := 0; j < nH; j++ {
@@ -718,6 +714,39 @@ func (r *Round) Latency(i int, dc model.DCID) float64 {
 	return r.latVMDC[i*r.nDC+int(dc)]
 }
 
+// estimatorViews resolves the optional batched SLA paths of est. The
+// package's own estimators are matched by concrete type: an interface
+// assertion is backed by a runtime cache filled lazily, on a random one
+// call in about a thousand, with a small heap allocation, which would land
+// in some arbitrary steady-state round.
+func estimatorViews(est Estimator) (SLAProcEstimator, BatchSLAEstimator) {
+	switch e := est.(type) {
+	case *ML:
+		return e, e
+	case *Observed:
+		return nil, nil
+	}
+	proc, _ := est.(SLAProcEstimator)
+	batch, _ := est.(BatchSLAEstimator)
+	return proc, batch
+}
+
+// curvePoints returns the raw curve of a piecewise-linear power model, or
+// nil. Like estimatorViews, it matches the power package's models by
+// concrete type before falling back to the interface assertion.
+func curvePoints(m power.Model) []float64 {
+	switch c := m.(type) {
+	case power.Atom:
+		return c.CurvePoints()
+	case power.Custom:
+		return c.CurvePoints()
+	}
+	if cm, ok := m.(power.CurveModel); ok {
+		return cm.CurvePoints()
+	}
+	return nil
+}
+
 // facilityWatts is power.FacilityWatts through the cached curve when the
 // model exposes one (identical arithmetic, no interface dispatch).
 func (r *Round) facilityWatts(cpuPct float64) float64 {
@@ -805,7 +834,12 @@ func (r *Round) ProfitScratch(i, j int, s *Scratch) float64 {
 			}
 			vmCPU = entry.vmCPU
 		}
-		marginal := s.marginalWatts(r, i, j, vmCPU)
+		var marginal float64
+		if r.pruneOn {
+			marginal = r.marginalWatts(i, j, vmCPU, s)
+		} else {
+			marginal = s.memoWatts(r, i, j, vmCPU)
+		}
 		profit -= power.EnergyEUR(marginal, r.cost.HorizonHours, r.priceDC[dc])
 	}
 

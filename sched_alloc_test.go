@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -53,6 +55,79 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScheduleNoLateAllocs runs a few thousand warm BF+ML rounds and
+// counts every object the program allocates, where AllocsPerRun would
+// truncate a rare one to zero. The round resolves its estimator, power
+// curve and regressor views on every Reset; done with interface
+// assertions, the runtime would fill their caches on some random later
+// round, with an allocation (the 2-8 B/op BenchmarkChurn/Round read on
+// some runs).
+func TestScheduleNoLateAllocs(t *testing.T) {
+	bundle, err := experiments.TrainedBundle(benchSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	problem := syntheticProblem(12, 8)
+	bf := sched.NewBestFit(cost, sched.NewML(bundle))
+	placement := make(model.Placement, len(problem.VMs))
+	round := func() {
+		clear(placement)
+		if err := bf.ScheduleInto(problem, placement); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	round()
+	if n := programMallocs(func() {
+		for i := 0; i < 3000; i++ {
+			round()
+		}
+	}); n != 0 {
+		t.Fatalf("%d objects allocated over 3000 warm rounds, want 0", n)
+	}
+}
+
+// programMallocs runs f with every allocation profiled and returns the
+// number of objects allocated on stacks through repro/internal code.
+// Process-wide counters would also see runtime background work (the
+// scavenger growing a timer heap, for one), which no program change can
+// remove.
+func programMallocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	snapshot := func() map[[32]uintptr]int64 {
+		runtime.GC() // the heap profile trails by up to two cycles
+		runtime.GC()
+		n, _ := runtime.MemProfile(nil, true)
+		var recs []runtime.MemProfileRecord
+		for ok := false; !ok; {
+			recs = make([]runtime.MemProfileRecord, n+64)
+			n, ok = runtime.MemProfile(recs, true)
+		}
+		byStack := make(map[[32]uintptr]int64)
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for more := true; more; {
+				var fr runtime.Frame
+				fr, more = frames.Next()
+				if strings.HasPrefix(fr.Function, "repro/internal/") {
+					byStack[r.Stack0] += r.AllocObjects
+					break
+				}
+			}
+		}
+		return byStack
+	}
+	before := snapshot()
+	f()
+	var n int64
+	for stack, objs := range snapshot() {
+		n += objs - before[stack]
+	}
+	return n
 }
 
 // TestScheduleDeltaSteadyStateAllocs extends the zero-alloc contract to
