@@ -242,8 +242,8 @@ func BenchmarkSimStep(b *testing.B) {
 // BenchmarkEngineTick measures the allocation-free engine tick directly,
 // on a small (paper-sized) and a large (production-sized) fleet, plus the
 // hyperscale preset (20000 VMs over 5100 PMs in six DCs), whose tick runs
-// the workload fill and the per-DC resolution on TickWorkers 4 persistent
-// pool workers (capped at GOMAXPROCS). Every size is 0 allocs/op and
+// the workload fill, the per-DC resolution and the monitor apply on
+// TickWorkers 4 persistent pool workers (capped at GOMAXPROCS). Every size is 0 allocs/op and
 // 0 B/op at any -cpu.
 func BenchmarkEngineTick(b *testing.B) {
 	for _, size := range []struct {
@@ -267,11 +267,10 @@ func BenchmarkEngineTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng := sc.World.Engine
-			// Warm-up ticks: the monitor rings are created on the first
-			// observation of each VM and PM, and the runtime grows its
-			// thread set to the pool's shape. The GC then settles the
-			// build's garbage, so no collection cycle (which allocates
-			// inside the runtime) overlaps the measured ticks.
+			// Warm-up ticks: the runtime grows its thread set to the
+			// pool's shape. The GC then settles the build's garbage, so
+			// no collection cycle (which allocates inside the runtime)
+			// overlaps the measured ticks.
 			for i := 0; i < 10; i++ {
 				eng.Step()
 			}

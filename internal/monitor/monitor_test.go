@@ -166,3 +166,110 @@ func TestObserverDeterministicWithSameSeed(t *testing.T) {
 		}
 	}
 }
+
+// legacyNoisy is the single-pass distortion the draw/apply split replaced:
+// one LogNormal draw per noisy, non-zero field.
+func legacyNoisy(s *rng.Stream, v, sd float64) float64 {
+	if s == nil || sd <= 0 || v == 0 {
+		return v
+	}
+	return v * s.LogNormal(-sd*sd/2, sd)
+}
+
+func legacyResources(s *rng.Stream, n NoiseConfig, r model.Resources) model.Resources {
+	return model.Resources{
+		CPUPct: legacyNoisy(s, r.CPUPct, n.RelSD),
+		MemMB:  legacyNoisy(s, r.MemMB, n.RelSD*0.3),
+		BWMbps: legacyNoisy(s, r.BWMbps, n.RelSD),
+	}
+}
+
+// TestDrawApplyMatchesObserve pins the two-halves contract: deviates
+// drawn in sequence and applied later, in any order, give the samples of
+// ObserveVM/ObservePM calls made in the draw order, and both match the
+// single-pass legacy formula bit for bit. Zero fields and a nil stream
+// draw nothing, so the stream stays in step across them.
+func TestDrawApplyMatchesObserve(t *testing.T) {
+	usages := []model.Resources{
+		{CPUPct: 123.4, MemMB: 512, BWMbps: 7.5},
+		{CPUPct: 0, MemMB: 256, BWMbps: 0},
+		{},
+		{CPUPct: 80, MemMB: 0, BWMbps: 3},
+	}
+	noise := NoiseConfig{RelSD: 0.05, SpikeProb: 0.4, SpikeCPUPct: 50}
+	for _, seeded := range []bool{true, false} {
+		stream := func() *rng.Stream {
+			if !seeded {
+				return nil
+			}
+			return rng.New(7, 9)
+		}
+		whole := NewObserver(noise, 3, stream())
+		split := NewObserver(noise, 3, stream())
+		ref := stream()
+		for tick := 0; tick < 8; tick++ {
+			for j, u := range usages {
+				pm := model.PMID(j)
+				want := legacyResources(ref, noise, u)
+				if ref != nil && ref.Bool(noise.SpikeProb) {
+					want.CPUPct += ref.Uniform(0.3, 1.0) * noise.SpikeCPUPct
+				}
+				got := whole.ObservePM(tick, pm, u)
+				d := split.DrawPM(u)
+				if s := split.ApplyPM(split.EnsurePM(pm), d, u); s != got || got != want {
+					t.Fatalf("seeded=%v tick %d PM %d: split %+v, ObservePM %+v, legacy %+v", seeded, tick, j, s, got, want)
+				}
+			}
+			devs := make([]Deviates, len(usages))
+			wants := make([]Sample, len(usages))
+			for k, u := range usages {
+				devs[k] = split.DrawVM(u)
+				wants[k] = whole.ObserveVM(tick, model.VMID(k), u, model.Load{RPS: float64(k)}, 0.1, 1.2, 3)
+				if legacy := legacyResources(ref, noise, u); legacy != wants[k].Usage {
+					t.Fatalf("seeded=%v tick %d VM %d: ObserveVM %+v, legacy %+v", seeded, tick, k, wants[k].Usage, legacy)
+				}
+			}
+			for k := len(usages) - 1; k >= 0; k-- { // apply out of draw order
+				s := split.ApplyVM(split.EnsureVM(model.VMID(k)), devs[k], Sample{
+					Tick: tick, Usage: usages[k], Load: model.Load{RPS: float64(k)}, RT: 0.1, SLA: 1.2, QueueLen: 3,
+				})
+				if s != wants[k] {
+					t.Fatalf("seeded=%v tick %d VM %d: split %+v, ObserveVM %+v", seeded, tick, k, s, wants[k])
+				}
+			}
+		}
+		for k := range usages {
+			a, _ := whole.WindowAvgVM(model.VMID(k))
+			b, _ := split.WindowAvgVM(model.VMID(k))
+			pa, _ := whole.WindowAvgPM(model.PMID(k))
+			pb, _ := split.WindowAvgPM(model.PMID(k))
+			if a != b || pa != pb {
+				t.Fatalf("seeded=%v windows of %d differ: VM %+v vs %+v, PM %+v vs %+v", seeded, k, a, b, pa, pb)
+			}
+		}
+	}
+}
+
+// TestForgetVMReusesSlot: a forgotten VM's window is gone, and the next
+// VM reuses its storage starting from an empty window.
+func TestForgetVMReusesSlot(t *testing.T) {
+	o := NewObserver(NoiseConfig{}, 3, nil)
+	for tick := 0; tick < 5; tick++ {
+		o.ObserveVM(tick, 1, model.Resources{CPUPct: 10}, model.Load{}, 0, 1, 0)
+	}
+	s := o.EnsureVM(1)
+	o.ForgetVM(1)
+	if _, ok := o.LastVM(1); ok {
+		t.Fatal("forgotten VM still has a window")
+	}
+	if got := o.EnsureVM(2); got != s {
+		t.Fatalf("new VM got slot %d, want the freed slot %d", got, s)
+	}
+	if _, ok := o.WindowAvgVM(2); ok {
+		t.Fatal("reused slot carried its previous tenant's samples")
+	}
+	o.ObserveVM(5, 2, model.Resources{CPUPct: 40}, model.Load{}, 0, 1, 0)
+	if avg, ok := o.WindowAvgVM(2); !ok || avg.CPUPct != 40 {
+		t.Fatalf("reused slot window avg = %+v, %v", avg, ok)
+	}
+}

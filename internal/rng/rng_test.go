@@ -2,7 +2,9 @@ package rng
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -167,4 +169,55 @@ func TestShuffle(t *testing.T) {
 	if sum != 45 {
 		t.Fatalf("shuffle lost elements: %v (orig %v)", xs, orig)
 	}
+}
+
+// TestStreamsOwnTheirCacheLines pins the padding against false sharing by
+// address arithmetic alone: every stream is a whole number of cache lines
+// starting on a line boundary, with its PCG and Rand inside, so no two
+// streams, and no other object, share a line with a stream's state.
+func TestStreamsOwnTheirCacheLines(t *testing.T) {
+	const line = 64
+	size := unsafe.Sizeof(Stream{})
+	if size%line != 0 {
+		t.Fatalf("Stream is %d bytes, not a multiple of the %d-byte line", size, line)
+	}
+	parent := New(1, 2)
+	owner := map[uintptr]int{}
+	keep := make([]any, 0, 128)
+	for k := 0; k < 64; k++ {
+		var s *Stream
+		switch k % 3 {
+		case 0:
+			s = New(uint64(k), 7)
+		case 1:
+			s = NewNamed(uint64(k), "layout")
+		default:
+			s = parent.Split("layout")
+		}
+		// Interleave small allocations of other shapes, as real callers do.
+		keep = append(keep, s, new([2]uint64))
+		base := uintptr(unsafe.Pointer(s))
+		if base%line != 0 {
+			t.Fatalf("stream %d at %#x is not line-aligned", k, base)
+		}
+		for _, f := range []struct {
+			name string
+			at   uintptr
+			size uintptr
+		}{
+			{"PCG", uintptr(unsafe.Pointer(&s.pcg)), unsafe.Sizeof(s.pcg)},
+			{"Rand", uintptr(unsafe.Pointer(&s.r)), unsafe.Sizeof(s.r)},
+		} {
+			if f.at < base || f.at+f.size > base+size {
+				t.Fatalf("stream %d: %s outside its stream's lines", k, f.name)
+			}
+		}
+		for a := base; a < base+size; a += line {
+			if prev, dup := owner[a/line]; dup {
+				t.Fatalf("streams %d and %d share line %#x", prev, k, a)
+			}
+			owner[a/line] = k
+		}
+	}
+	runtime.KeepAlive(keep)
 }

@@ -107,18 +107,28 @@ type Engine struct {
 	perDCWatts  []float64
 	perDCActive []int
 
-	// Tick sharding. pool runs the two parallel phases on Config.TickWorkers
-	// persistent workers (one worker: inline on the caller): fillFn fills
-	// contiguous chunks of the fill view, resolveFn resolves per-DC shards
-	// (pmByDC, the PM indices of each DC in inventory order). Both
-	// closures are built once so Step allocates nothing. rtNoise carries
-	// the per-guest RT noise draws from the serial pre-pass into the
-	// resolution phase, preserving the legacy single-stream draw order.
+	// Monitor window slots: obsVM maps a VM slot to its observer window
+	// slot (set at admission), obsPM a PM index to its window slot.
+	obsVM []int32
+	obsPM []int32
+
+	// Tick sharding. pool runs the three parallel phases on
+	// Config.TickWorkers persistent workers (one worker: inline on the
+	// caller): fillFn fills contiguous chunks of the fill view, resolveFn
+	// resolves per-DC shards (pmByDC, the PM indices of each DC in
+	// inventory order) and observeFn applies contiguous chunks of the
+	// active slots' monitor observations. The closures are built once so
+	// Step allocates nothing. rtNoise carries the per-guest RT noise draws
+	// from the serial pre-pass into the resolution phase, and obsDev the
+	// per-VM monitor deviates from the serial money loop into the observe
+	// phase, preserving the legacy single-stream draw orders.
 	pool      *par.Pool
 	pmByDC    [][]int32
 	fillFn    func(w, lo, hi int)
 	resolveFn func(w, lo, hi int)
+	observeFn func(w, lo, hi int)
 	rtNoise   []float64
+	obsDev    []monitor.Deviates
 
 	// met, when non-nil, receives per-tick counters/gauges and the tick
 	// latency at the end of every Step (see SetMetrics). Recording is
@@ -178,7 +188,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:   cfg,
 		state: cluster.NewState(inv),
-		obs:   monitor.NewObserver(cfg.Noise, 10, rng.NewNamed(cfg.Seed, "sim/monitor")),
+		obs:   newObserver(cfg),
 		rt:    rng.NewNamed(cfg.Seed, "sim/rt"),
 
 		nVM: nVM, capVM: capVM, nPM: nPM, nLoc: nLoc,
@@ -223,10 +233,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		perDCWatts:  make([]float64, nLoc),
 		perDCActive: make([]int, nLoc),
 
+		obsVM: make([]int32, capVM),
+		obsPM: make([]int32, nPM),
+
 		pool:    par.NewPool(max(cfg.TickWorkers, 1)),
 		rtNoise: make([]float64, capVM),
+		obsDev:  make([]monitor.Deviates, capVM),
 	}
 	copy(e.vmSpecs, inv.VMs())
+	e.obs.Reserve(capVM, nPM)
 	rows := make(model.LoadVector, capVM*nLoc) // one backing array for all rows
 	for i := 0; i < capVM; i++ {
 		e.hostOf[i] = -1
@@ -237,6 +252,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.activeVM[i] = true
 		e.gens[i] = 1
 		e.vmByID[e.vmIDs[i]] = i
+		e.obsVM[i] = int32(e.obs.EnsureVM(e.vmIDs[i]))
+	}
+	for j := range e.pmSpecs {
+		e.obsPM[j] = int32(e.obs.EnsurePM(e.pmSpecs[j].ID))
 	}
 	// DC shards for the parallel resolution phase: PM indices grouped by
 	// DC, inventory order within each group. The PM fleet is immutable, so
@@ -259,13 +278,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 			}
 		}
 	}
+	e.observeFn = func(_, lo, hi int) {
+		for _, i := range e.fillSlots[lo:hi] {
+			e.obs.ApplyVM(int(e.obsVM[i]), e.obsDev[i], monitor.Sample{
+				Tick:     e.tick,
+				Usage:    e.used[i],
+				Load:     e.totals[i],
+				RT:       e.rtProcess[i],
+				SLA:      e.slaLvl[i],
+				QueueLen: e.queueLen[i],
+			})
+		}
+	}
 	e.rebuildFill()
 	return e, nil
 }
 
+// newObserver builds the engine's monitor: cfg.Noise over the seed's
+// "sim/monitor" stream, with the paper's 10-tick windows.
+func newObserver(cfg Config) *monitor.Observer {
+	return monitor.NewObserver(cfg.Noise, 10, rng.NewNamed(cfg.Seed, "sim/monitor"))
+}
+
 // SetTickWorkers sets the worker count for the parallel phases of Step
-// (workload fill and per-DC resolution). n <= 1 runs the tick serially;
-// results are byte-identical at any worker count.
+// (workload fill, per-DC resolution and monitor observation). n <= 1 runs
+// the tick serially; results are byte-identical at any worker count.
 func (e *Engine) SetTickWorkers(n int) {
 	n = max(n, 1)
 	if n == e.pool.Workers() {
@@ -646,7 +683,12 @@ func (e *Engine) validatePlacementTargets(p model.Placement) error {
 // RequiredResources computes the true requirement of a VM under the given
 // aggregate load — fRequiredResources (constraint 5.1).
 func (e *Engine) RequiredResources(spec model.VMSpec, total model.Load) model.Resources {
-	p := e.cfg.Params
+	return requiredResources(&e.cfg.Params, &spec, &total)
+}
+
+// requiredResources is RequiredResources on pointers, for the per-guest
+// resolve path, which would otherwise copy the spec and params per call.
+func requiredResources(p *Params, spec *model.VMSpec, total *model.Load) model.Resources {
 	cpu := p.VMBaseCPUPct + queueing.CPURequiredPct(queueing.Demand{
 		RPS: total.RPS, CPUTimeReq: total.CPUTimeReq * p.cpuCostFactor(),
 	}, p.TargetRho)
@@ -667,7 +709,7 @@ func (e *Engine) Step() TickSummary {
 	if e.met != nil {
 		t0 = time.Now()
 	}
-	p := e.cfg.Params
+	p := &e.cfg.Params
 	sum := TickSummary{Tick: e.tick, MinSLA: 1}
 	for dc := range e.perDCWatts {
 		e.perDCWatts[dc] = 0
@@ -700,9 +742,9 @@ func (e *Engine) Step() TickSummary {
 	e.pool.Run(len(e.pmByDC), e.resolveFn)
 
 	// Accumulation, serial, in inventory order: per-DC splits, money and
-	// monitoring consume the resolved per-PM state in the same order as the
-	// legacy interleaved loop, so floating-point sums, ledger entries and
-	// "sim/monitor" stream draws are unchanged to the last bit.
+	// the monitor draws consume the resolved per-PM state in the same order
+	// as the legacy interleaved loop, so floating-point sums, ledger entries
+	// and "sim/monitor" stream draws are unchanged to the last bit.
 	for j := 0; j < e.nPM; j++ {
 		if !e.pmOn[j] {
 			continue
@@ -715,7 +757,7 @@ func (e *Engine) Step() TickSummary {
 		priceKWh := e.cfg.Topology.EnergyPriceAt(dc, e.tick)
 		e.ledger.AddEnergy(power.EnergyEUR(e.pmFacWatts[j], TickHours, priceKWh))
 		e.energy.Observe(e.pmFacWatts[j], priceKWh, TickHours)
-		e.obs.ObservePM(e.tick, e.pmSpecs[j].ID, e.pmUsage[j])
+		e.obs.ApplyPM(int(e.obsPM[j]), e.obs.DrawPM(e.pmUsage[j]), e.pmUsage[j])
 	}
 
 	sum.FailedPMs = e.nFailed
@@ -744,8 +786,9 @@ func (e *Engine) Step() TickSummary {
 		e.queueLen[i] = 0
 	}
 
-	// Money and monitoring per VM, in stable inventory order so floating-
-	// point accumulation is deterministic run to run.
+	// Money and monitor draws per VM, in stable inventory order so
+	// floating-point accumulation and the "sim/monitor" draw order are
+	// deterministic run to run.
 	var slaWeighted, rpsTotal float64
 	for i := 0; i < e.nVM; i++ {
 		if !e.activeVM[i] {
@@ -763,8 +806,12 @@ func (e *Engine) Step() TickSummary {
 		if lvl < sum.MinSLA {
 			sum.MinSLA = lvl
 		}
-		e.obs.ObserveVM(e.tick, spec.ID, e.used[i], e.totals[i], e.rtProcess[i], lvl, e.queueLen[i])
+		e.obsDev[i] = e.obs.DrawVM(e.used[i])
 	}
+
+	// Monitor observations, RNG-free now that their deviates are drawn:
+	// each VM writes only its own window, so chunks run in parallel.
+	e.pool.Run(len(e.fillSlots), e.observeFn)
 
 	if rpsTotal > 0 {
 		sum.AvgSLA = slaWeighted / rpsTotal
@@ -791,7 +838,7 @@ func (e *Engine) Step() TickSummary {
 // draws no randomness (RT noise is pre-drawn into rtNoise), so distinct
 // PMs may resolve concurrently.
 func (e *Engine) resolvePM(j int) {
-	p := e.cfg.Params
+	p := &e.cfg.Params
 	gs := e.guests[j]
 	e.pmGuestN[j] = len(gs)
 	if len(gs) == 0 {
@@ -808,7 +855,7 @@ func (e *Engine) resolvePM(j int) {
 	// proportional-sharing grant — fOccupation (constraint 5.2).
 	var reqSum model.Resources
 	for _, vi := range gs {
-		e.required[vi] = e.RequiredResources(e.vmSpecs[vi], e.totals[vi])
+		e.required[vi] = requiredResources(p, &e.vmSpecs[vi], &e.totals[vi])
 		reqSum = reqSum.Add(e.required[vi])
 	}
 	shCPU, shMem, shBW := cluster.ShareFactors(pmSpec.Capacity, reqSum)
@@ -838,8 +885,8 @@ func (e *Engine) resolvePM(j int) {
 
 // resolveVM computes the hidden behaviour of one hosted VM for this tick.
 func (e *Engine) resolveVM(i int, pmSpec *model.PMSpec) {
-	total := e.totals[i]
-	p := e.cfg.Params
+	total := &e.totals[i]
+	p := &e.cfg.Params
 	spec := &e.vmSpecs[i]
 
 	// Migration blackout: consume remaining downtime against this tick.

@@ -95,7 +95,7 @@ func (e *Engine) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 	e.vmByID[spec.ID] = slot
 	e.hostOf[slot] = -1
 	e.clearVMSlot(slot)
-	e.obs.EnsureVM(spec.ID)
+	e.obsVM[slot] = int32(e.obs.EnsureVM(spec.ID))
 	e.rebuildFill()
 	return VMHandle{Slot: int32(slot), Gen: e.gens[slot]}, nil
 }
