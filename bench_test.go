@@ -18,6 +18,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // benchSeed keeps every benchmark on the same deterministic world.
@@ -315,7 +316,7 @@ func BenchmarkBestFitRound(b *testing.B) {
 // refactor and the flat ML inference layouts target; AllocsPerRun
 // coverage lives in sched_alloc_test.go.
 func BenchmarkScheduleRound(b *testing.B) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func scenarioProblem(b *testing.B, name string) (*sched.Problem, sched.CostModel
 // path, which amortizes kd-tree descents and shares one traversal
 // scratch. Both are steady-state and gated via BENCH_sched.json.
 func BenchmarkSLAQuery(b *testing.B) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func BenchmarkSLAQuery(b *testing.B) {
 // are steady-state (churn events land between ticks) and therefore
 // zero-alloc — the properties benchgate pins via BENCH_sched.json.
 func BenchmarkChurn(b *testing.B) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,7 +516,7 @@ func BenchmarkChurn(b *testing.B) {
 // everything else holds steady. Zero-alloc like every other ScheduleInto
 // path; benchgate pins it via BENCH_sched.json.
 func BenchmarkFailover(b *testing.B) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/lifecycle"
 	"repro/internal/model"
@@ -58,6 +59,8 @@ type DegradedPolicy struct {
 type Manager struct {
 	cfg    ManagerConfig
 	rounds int
+	// roundTime sums the wall time spent inside the scheduler's calls.
+	roundTime time.Duration
 	// problem, loadBufs and placement are reused across rounds so the
 	// steady-state MAPE loop stops allocating a fresh scheduler view (and
 	// result map) every 10 minutes.
@@ -129,6 +132,10 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 
 // Rounds returns how many scheduling rounds have executed.
 func (m *Manager) Rounds() int { return m.rounds }
+
+// RoundTime returns the total wall time those rounds spent inside the
+// scheduler (problem assembly and placement apply excluded).
+func (m *Manager) RoundTime() time.Duration { return m.roundTime }
 
 // Degraded reports the last fault-step verdict: committed requirements
 // exceed the surviving capacity (always false without a fault runner).
@@ -270,24 +277,9 @@ func (m *Manager) Step() (sim.TickStats, error) {
 	// error: the fleet keeps ticking — and shedding — until a repair
 	// restores candidates.
 	if t > 0 && t%m.cfg.RoundTicks == 0 && m.numCandidates() > 0 {
-		problem := m.BuildProblem()
-		var placement model.Placement
-		if is := m.into; is != nil {
-			if m.placement == nil {
-				m.placement = make(model.Placement, len(problem.VMs))
-			} else {
-				clear(m.placement)
-			}
-			if err := is.ScheduleInto(problem, m.placement); err != nil {
-				return sim.TickStats{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
-			}
-			placement = m.placement
-		} else {
-			var err error
-			placement, err = m.cfg.Scheduler.Schedule(problem)
-			if err != nil {
-				return sim.TickStats{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
-			}
+		placement, err := m.schedule(m.BuildProblem())
+		if err != nil {
+			return sim.TickStats{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
 		}
 		if w.NumFailedPMs() > 0 || w.NumDrainingPMs() > 0 {
 			// Schedulers that ignore the candidate set (Fixed, replayed
@@ -307,6 +299,22 @@ func (m *Manager) Step() (sim.TickStats, error) {
 		m.cfg.Faults.ObserveTick(t, w.NumActiveVMs(), m.degraded, m.hosted())
 	}
 	return w.Step(), nil
+}
+
+// schedule runs one timed scheduler call, into the recycled placement map
+// when the scheduler supports the allocation-free form.
+func (m *Manager) schedule(problem *sched.Problem) (model.Placement, error) {
+	start := time.Now()
+	defer func() { m.roundTime += time.Since(start) }()
+	if m.into == nil {
+		return m.cfg.Scheduler.Schedule(problem)
+	}
+	if m.placement == nil {
+		m.placement = make(model.Placement, len(problem.VMs))
+	} else {
+		clear(m.placement)
+	}
+	return m.placement, m.into.ScheduleInto(problem, m.placement)
 }
 
 // numCandidates counts hosts the scheduler may target. Failed and

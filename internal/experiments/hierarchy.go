@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Hierarchy measures the paper's structural contribution directly: the
@@ -20,7 +18,7 @@ import (
 // considers every VM on every host, at growing fleet sizes. The narrow
 // interface should cut decision latency while keeping outcome quality.
 func Hierarchy(seed uint64) (*Result, error) {
-	bundle, err := TrainedBundle(seed)
+	bundle, err := sweep.TrainedBundle(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -38,13 +36,9 @@ func Hierarchy(seed uint64) (*Result, error) {
 		Headers: []string{"VMs", "hosts", "flat ms/round", "hier ms/round", "flat SLA", "hier SLA", "flat W", "hier W"},
 	}
 	for _, size := range sizes {
-		flat, err := runHierarchyPolicy(seed, size.vms, size.pmsPerDC, bundle, false)
+		flat, hier, err := runHierarchyPair(seed, size.vms, size.pmsPerDC, bundle)
 		if err != nil {
-			return nil, fmt.Errorf("hierarchy flat %dx%d: %w", size.vms, size.pmsPerDC, err)
-		}
-		hier, err := runHierarchyPolicy(seed, size.vms, size.pmsPerDC, bundle, true)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy two-layer %dx%d: %w", size.vms, size.pmsPerDC, err)
+			return nil, fmt.Errorf("hierarchy %dx%d: %w", size.vms, size.pmsPerDC, err)
 		}
 		hosts := size.pmsPerDC * 4
 		t.AddRow(
@@ -70,72 +64,56 @@ func Hierarchy(seed uint64) (*Result, error) {
 }
 
 type hierarchyRun struct {
+	mgr        *core.Manager
 	avgSLA     float64
 	avgWatts   float64
 	msPerRound float64
 }
 
-func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*hierarchyRun, error) {
-	spec := scenario.MustPreset(scenario.Hierarchy, seed)
-	spec.VMs = vms
-	spec.PMsPerDC = pmsPerDC
-	sc, err := scenario.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	est := sched.NewML(bundle)
-	cost := CostModel(sc)
-	var s sched.Scheduler
-	if twoLayer {
-		s = core.NewHierarchical(sc.Inventory, cost, est)
-	} else {
-		s = sched.NewBestFit(cost, est)
-	}
-	timed := &timedScheduler{inner: s}
-	mgr, err := core.NewManager(core.ManagerConfig{
-		World: sc.World, Scheduler: timed, RoundTicks: RoundTicks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		return nil, err
+// runHierarchyPair runs the flat and the two-layer scheduler on twin
+// fleets in lockstep, one tick each in turn, so a stall of the host lands
+// on both managers' round timers rather than on one run alone.
+func runHierarchyPair(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle) (flat, hier *hierarchyRun, err error) {
+	runs := make([]*hierarchyRun, 2)
+	for i := range runs {
+		spec := scenario.MustPreset(scenario.Hierarchy, seed)
+		spec.VMs = vms
+		spec.PMsPerDC = pmsPerDC
+		sc, err := scenario.Build(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		est := sched.NewML(bundle)
+		var s sched.Scheduler = sched.NewBestFit(sweep.CostModel(sc), est)
+		if i == 1 {
+			s = core.NewHierarchical(sc.Inventory, sweep.CostModel(sc), est)
+		}
+		mgr, err := newManager(sc, s)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
+			return nil, nil, err
+		}
+		runs[i] = &hierarchyRun{mgr: mgr}
 	}
 	const ticks = 360 // 6 hours
-	var sumSLA, sumW float64
-	if err := mgr.Run(ticks, func(st sim.TickStats) {
-		sumSLA += st.AvgSLA
-		sumW += st.FacilityWatts
-	}); err != nil {
-		return nil, err
-	}
-	out := &hierarchyRun{
-		avgSLA:   sumSLA / ticks,
-		avgWatts: sumW / ticks,
-	}
-	if timed.rounds > 0 {
-		out.msPerRound = float64(timed.total.Milliseconds()) / float64(timed.rounds)
-		if out.msPerRound == 0 {
-			out.msPerRound = float64(timed.total.Microseconds()) / 1000 / float64(timed.rounds)
+	for t := 0; t < ticks; t++ {
+		for _, r := range runs {
+			st, err := r.mgr.Step()
+			if err != nil {
+				return nil, nil, err
+			}
+			r.avgSLA += st.AvgSLA // sums until the loop ends
+			r.avgWatts += st.FacilityWatts
 		}
 	}
-	return out, nil
-}
-
-// timedScheduler wraps a scheduler and accumulates decision wall-time.
-type timedScheduler struct {
-	inner  sched.Scheduler
-	total  time.Duration
-	rounds int
-}
-
-func (t *timedScheduler) Name() string { return t.inner.Name() }
-
-func (t *timedScheduler) Schedule(p *sched.Problem) (model.Placement, error) {
-	start := time.Now()
-	defer func() {
-		t.total += time.Since(start)
-		t.rounds++
-	}()
-	return t.inner.Schedule(p)
+	for _, r := range runs {
+		r.avgSLA /= ticks
+		r.avgWatts /= ticks
+		if n := r.mgr.Rounds(); n > 0 {
+			r.msPerRound = float64(r.mgr.RoundTime().Nanoseconds()) / 1e6 / float64(n)
+		}
+	}
+	return runs[0], runs[1], nil
 }

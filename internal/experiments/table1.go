@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/report"
+	"repro/internal/sweep"
 )
 
 // PaperTableI holds the paper's published Table I values for side-by-side
@@ -26,7 +27,7 @@ var PaperTableI = map[string]struct {
 // sizes and target ranges, measured on data harvested from the simulated
 // fleet with a 66/34 split.
 func TableI(seed uint64) (*Result, error) {
-	b, err := TrainedBundle(seed)
+	b, err := sweep.TrainedBundle(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -43,8 +43,6 @@ func PredictBuffered(r Regressor, x []float64, b *Buf) float64 {
 	switch m := r.(type) {
 	case *KNN:
 		return m.PredictBuf(x, b)
-	case *Bagged:
-		return m.PredictBuf(x, b)
 	case *M5P:
 		return m.Predict(x)
 	case *Linear:
@@ -67,7 +65,7 @@ func PredictBatchBuffered(r Regressor, xs []float64, n int, out []float64, b *Bu
 	case *KNN:
 		m.PredictBatchBuf(xs, n, out, b)
 		return
-	case *Bagged, *M5P, *Linear: // no batch path
+	case *M5P, *Linear: // no batch path
 	default:
 		if br, ok := r.(BatchRegressor); ok {
 			br.PredictBatchBuf(xs, n, out, b)

@@ -56,11 +56,9 @@ type BestFit struct {
 	round      Round
 	order      []int
 	demand     []float64
-	scores     []float64
 	scratches  []Scratch
 	sorter     demandSorter
 	curVM      int
-	evalFn     func(worker, j int)
 	cands      []int32
 	candScores []float64
 	evalCandFn func(worker, p int)
@@ -92,13 +90,8 @@ type RoundStats struct {
 	ShortlistTruncated int
 }
 
-// RoundStatsReporter is implemented by schedulers exposing per-round phase
-// instrumentation; harnesses probe for it to add timing columns.
-type RoundStatsReporter interface {
-	LastRoundStats() RoundStats
-}
-
-// LastRoundStats implements RoundStatsReporter for the last Schedule call.
+// LastRoundStats returns the phase instrumentation of the last Schedule
+// call.
 func (b *BestFit) LastRoundStats() RoundStats { return b.stats }
 
 // DefaultMinGainEUR is roughly 10% of one VM's per-round revenue at the
@@ -152,14 +145,9 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 			b.scratches = make([]Scratch, workers)
 		}
 		b.scratches = b.scratches[:workers]
-		if b.evalFn == nil {
+		if b.evalCandFn == nil {
 			// One closure for the lifetime of the scheduler: the current VM
 			// travels through b.curVM so the hot loop creates nothing.
-			b.evalFn = func(worker, j int) {
-				b.scores[j] = b.round.ProfitScratch(b.curVM, j, &b.scratches[worker])
-			}
-		}
-		if b.evalCandFn == nil {
 			b.evalCandFn = func(worker, p int) {
 				b.candScores[p] = b.round.ProfitScratch(b.curVM, int(b.cands[p]), &b.scratches[worker])
 			}
@@ -186,79 +174,53 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	b.sorter.order, b.sorter.demand = b.order, b.demand
 	sort.Stable(&b.sorter)
 
-	nh := len(p.Hosts)
-	b.scores = grown(b.scores, nh)
-	if workers > nh {
-		workers = nh
+	// Without pruning every host is a candidate, in index order, and the
+	// VM's current host is found by its index.
+	if !b.Prune {
+		b.cands = b.cands[:0]
+		for j := range p.Hosts {
+			b.cands = append(b.cands, int32(j))
+		}
 	}
 	var scoreNS int64
 	var scored, truncated int
 	for _, i := range b.order {
 		t0 := time.Now()
-		var best int
+		curPos := -1
 		if b.Prune {
-			var curPos, trunc int
+			var trunc int
 			b.cands, curPos, trunc = r.AppendCandidates(i, b.PruneK, b.cands[:0])
 			truncated += trunc
-			nc := len(b.cands)
-			scored += nc
-			b.candScores = grown(b.candScores, nc)
-			if w := workers; w > 1 {
-				if w > nc {
-					w = nc
-				}
-				b.curVM = i
-				if w > 1 {
-					par.ForEachWorker(nc, w, b.evalCandFn)
-				} else {
-					for q := 0; q < nc; q++ {
-						b.candScores[q] = r.Profit(i, int(b.cands[q]))
-					}
-				}
-			} else {
-				for q := 0; q < nc; q++ {
-					b.candScores[q] = r.Profit(i, int(b.cands[q]))
-				}
-			}
-			scoreNS += time.Since(t0).Nanoseconds()
-			// Argmax with the explicit lower-host-index tie-break — the
-			// order-independent equivalent of the exhaustive left-to-right
-			// strict-greater scan.
-			bp := 0
-			for q := 1; q < nc; q++ {
-				if b.candScores[q] > b.candScores[bp] ||
-					(b.candScores[q] == b.candScores[bp] && b.cands[q] < b.cands[bp]) {
-					bp = q
-				}
-			}
-			best = int(b.cands[bp])
-			if curPos >= 0 && bp != curPos &&
-				b.candScores[bp] < b.candScores[curPos]+b.MinGainEUR {
-				best = int(b.cands[curPos])
-			}
+		} else if cur, ok := r.HostIndex(p.VMs[i].Current); ok {
+			curPos = cur
+		}
+		nc := len(b.cands)
+		scored += nc
+		b.candScores = grown(b.candScores, nc)
+		if w := min(workers, nc); w > 1 {
+			b.curVM = i
+			par.ForEachWorker(nc, w, b.evalCandFn)
 		} else {
-			if workers > 1 {
-				b.curVM = i
-				par.ForEachWorker(nh, workers, b.evalFn)
-			} else {
-				for j := 0; j < nh; j++ {
-					b.scores[j] = r.Profit(i, j)
-				}
+			for q := 0; q < nc; q++ {
+				b.candScores[q] = r.Profit(i, int(b.cands[q]))
 			}
-			scored += nh
-			scoreNS += time.Since(t0).Nanoseconds()
-			best = 0
-			for j := 1; j < nh; j++ {
-				if b.scores[j] > b.scores[best] {
-					best = j
-				}
+		}
+		scoreNS += time.Since(t0).Nanoseconds()
+		// Argmax with the explicit lower-host-index tie-break — over an
+		// ascending list, the left-to-right strict-greater scan.
+		bp := 0
+		for q := 1; q < nc; q++ {
+			if b.candScores[q] > b.candScores[bp] ||
+				(b.candScores[q] == b.candScores[bp] && b.cands[q] < b.cands[bp]) {
+				bp = q
 			}
-			// Hysteresis: prefer the current host unless the winner clearly
-			// beats it.
-			if cur, ok := r.HostIndex(p.VMs[i].Current); ok && best != cur &&
-				b.scores[best] < b.scores[cur]+b.MinGainEUR {
-				best = cur
-			}
+		}
+		// Hysteresis: prefer the current host unless the winner clearly
+		// beats it.
+		best := int(b.cands[bp])
+		if curPos >= 0 && bp != curPos &&
+			b.candScores[bp] < b.candScores[curPos]+b.MinGainEUR {
+			best = int(b.cands[curPos])
 		}
 		r.Assign(i, best)
 		placement[p.VMs[i].Spec.ID] = r.HostID(best)

@@ -10,10 +10,10 @@ package sched_test
 import (
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // churnedProblem derives a successor-round problem from p: some VMs gone,
@@ -69,7 +69,7 @@ func churnedProblem(p *sched.Problem) *sched.Problem {
 // placement-identical to full rounds on every preset: fresh, steady-state
 // reused (bit-exact reuse of every row), parallel, and churned.
 func TestDeltaRoundPlacementParity(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func failCycleProblems(p *sched.Problem) (failed, rehomed, recovered *sched.Prob
 // recover cycle on every preset, with one scheduler instance carrying its
 // memo across the shrinking and re-growing candidate set.
 func TestDeltaParityThroughFaultCycle(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 const paritySeed = 7
@@ -325,7 +325,7 @@ func parityCost(t *testing.T, name string, seed uint64) sched.CostModel {
 // reference profit bit-for-bit for every (VM, host) pair on every preset,
 // on fresh state and again after assignments.
 func TestProfitParityAllPresets(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestProfitParityAllPresets(t *testing.T) {
 // reused scheduler instances keep emitting the same answer, and that
 // parallel candidate evaluation matches serial.
 func TestPlacementParityAllPresets(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}

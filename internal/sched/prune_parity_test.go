@@ -11,10 +11,10 @@ package sched_test
 import (
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // TestPruneParityAllPresets proves the safe-bound shortlist is
@@ -23,7 +23,7 @@ import (
 // (where the incremental re-keying from the previous round's Assigns has
 // run), churned fleets, and parallel candidate scoring.
 func TestPruneParityAllPresets(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPruneParityAllPresets(t *testing.T) {
 // delta rounds reuse fill rows, pruning cuts the scoring matrix, and the
 // placements still match the plain exhaustive schedule everywhere.
 func TestPruneDeltaComposition(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
+	bundle, err := sweep.TrainedBundle(paritySeed)
 	if err != nil {
 		t.Fatal(err)
 	}

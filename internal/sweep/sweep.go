@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 
 	"repro/internal/par"
 	"repro/internal/predict"
@@ -80,7 +82,7 @@ type Cell struct {
 	// Delta-round row counters: (VM, DC)-table rows served from the memo
 	// vs re-estimated, summed over the cell's rounds. Pure counters —
 	// deterministic, so they are real JSON/CSV columns (zero for
-	// schedulers that do not report round stats).
+	// schedulers that take no sched.Metrics).
 	RowsReused     int `json:"rows_reused"`
 	RowsRecomputed int `json:"rows_recomputed"`
 	// Candidate-shortlist counters, summed over rounds: profit evaluations
@@ -244,29 +246,7 @@ func Run(m Matrix) (*Result, error) {
 			errs[i] = fmt.Errorf("sweep: cell %s/%s seed %d: %w", scns[si], pols[pi].Name, seed, err)
 			return
 		}
-		cells[i] = Cell{
-			Scenario: scns[si], Policy: pols[pi].Name, Seed: seed,
-			Ticks: run.Ticks, Rounds: run.Rounds,
-			AvgSLA: run.AvgSLA, MinSLA: run.MinSLA, AvgWatts: run.AvgWatts,
-			ProfitEURh: run.AvgEuroH, RevenueEUR: run.RevenueEUR,
-			EnergyEUR: run.EnergyEUR, PenaltyEUR: run.PenaltyEUR,
-			Migrations: run.Migrations, AvgActivePMs: run.AvgActive,
-			OfferedVMs: run.OfferedVMs, AdmittedVMs: run.AdmittedVMs,
-			RejectedVMs: run.RejectedVMs, DepartedVMs: run.DepartedVMs,
-			AdmissionRate: run.AdmissionRate, MeanPlaceTicks: run.MeanPlaceTicks,
-			Crashes: run.Crashes, ForcedEvictions: run.ForcedEvictions,
-			Interruptions: run.Interruptions, RehomedVMs: run.RehomedVMs,
-			ShedVMs: run.ShedVMs, DegradedTicks: run.DegradedTicks,
-			MeanRehomeTicks: run.MeanRehomeTicks, MaxRehomeTicks: run.MaxRehomeTicks,
-			Availability: run.Availability,
-			RowsReused:   run.RowsReused, RowsRecomputed: run.RowsRecomputed,
-			CandidatesScored:  run.CandidatesScored,
-			ShortlistRebuilds: run.ShortlistRebuilds, ShortlistTruncated: run.ShortlistTruncated,
-			EngineTicks: run.EngineTicks, Obs: run.Obs,
-			TickMS:  run.TickMS,
-			RoundMS: run.RoundMS,
-			FillMS:  run.FillMS, ScoreMS: run.ScoreMS, ReduceMS: run.ReduceMS,
-		}
+		cells[i] = run.Cell
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -330,43 +310,54 @@ func (r *Result) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// fmtF renders a float with full round-trip precision for CSV.
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// csvColumns are Cell's CSV columns, in field order: every field whose
+// json tag names it and whose value is a scalar. The tag is each column's
+// one definition; the json:"-" wall-clock fields and the Obs map stay out.
+var csvColumns = func() []reflect.StructField {
+	var cols []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Cell{})) {
+		if columnName(f) != "-" && f.Type.Kind() != reflect.Map {
+			cols = append(cols, f)
+		}
+	}
+	return cols
+}()
+
+// columnName is a field's json name (its tag up to the first comma).
+func columnName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
+}
+
+// formatColumn renders one scalar cell field for CSV; floats keep full
+// round-trip precision.
+func formatColumn(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.String:
+		return v.String()
+	case reflect.Int:
+		return strconv.FormatInt(v.Int(), 10)
+	case reflect.Uint64:
+		return strconv.FormatUint(v.Uint(), 10)
+	case reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	}
+	panic(fmt.Sprintf("sweep: no CSV format for %s", v.Kind()))
+}
 
 // CellsTable renders every cell as one table row (the CSV backbone).
 func (r *Result) CellsTable() report.Table {
-	t := report.Table{
-		Caption: "sweep cells",
-		Headers: []string{"scenario", "policy", "seed", "ticks", "rounds",
-			"avg_sla", "min_sla", "avg_watts", "profit_eur_h", "revenue_eur",
-			"energy_eur", "penalty_eur", "migrations", "avg_active_pms",
-			"offered_vms", "admitted_vms", "rejected_vms", "departed_vms",
-			"admission_rate", "mean_place_ticks",
-			"crashes", "forced_evictions", "interruptions", "rehomed_vms",
-			"shed_vms", "degraded_ticks", "mean_rehome_ticks",
-			"max_rehome_ticks", "availability",
-			"rows_reused", "rows_recomputed",
-			"candidates_scored", "shortlist_rebuilds", "shortlist_truncated",
-			"engine_ticks"},
+	t := report.Table{Caption: "sweep cells"}
+	for _, f := range csvColumns {
+		t.Headers = append(t.Headers, columnName(f))
 	}
 	for i := range r.Cells {
-		c := &r.Cells[i]
-		t.AddRow(c.Scenario, c.Policy,
-			strconv.FormatUint(c.Seed, 10), strconv.Itoa(c.Ticks), strconv.Itoa(c.Rounds),
-			fmtF(c.AvgSLA), fmtF(c.MinSLA), fmtF(c.AvgWatts), fmtF(c.ProfitEURh),
-			fmtF(c.RevenueEUR), fmtF(c.EnergyEUR), fmtF(c.PenaltyEUR),
-			strconv.Itoa(c.Migrations), fmtF(c.AvgActivePMs),
-			strconv.Itoa(c.OfferedVMs), strconv.Itoa(c.AdmittedVMs),
-			strconv.Itoa(c.RejectedVMs), strconv.Itoa(c.DepartedVMs),
-			fmtF(c.AdmissionRate), fmtF(c.MeanPlaceTicks),
-			strconv.Itoa(c.Crashes), strconv.Itoa(c.ForcedEvictions),
-			strconv.Itoa(c.Interruptions), strconv.Itoa(c.RehomedVMs),
-			strconv.Itoa(c.ShedVMs), strconv.Itoa(c.DegradedTicks),
-			fmtF(c.MeanRehomeTicks), strconv.Itoa(c.MaxRehomeTicks),
-			fmtF(c.Availability),
-			strconv.Itoa(c.RowsReused), strconv.Itoa(c.RowsRecomputed),
-			strconv.Itoa(c.CandidatesScored), strconv.Itoa(c.ShortlistRebuilds),
-			strconv.Itoa(c.ShortlistTruncated), strconv.Itoa(c.EngineTicks))
+		c := reflect.ValueOf(r.Cells[i])
+		row := make([]string, 0, len(csvColumns))
+		for _, f := range csvColumns {
+			row = append(row, formatColumn(c.FieldByIndex(f.Index)))
+		}
+		t.AddRow(row...)
 	}
 	return t
 }

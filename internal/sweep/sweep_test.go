@@ -526,7 +526,7 @@ func TestSweepCellObsSnapshot(t *testing.T) {
 		t.Fatalf("obs offered = %v, lifecycle column says %d", got, run.OfferedVMs)
 	}
 	if got := run.Obs["mdcsim_sched_rounds_total"]; got != float64(run.Rounds) {
-		t.Fatalf("obs rounds = %v, timed scheduler says %d", got, run.Rounds)
+		t.Fatalf("obs rounds = %v, manager says %d", got, run.Rounds)
 	}
 	for name := range run.Obs {
 		if strings.Contains(name, "_seconds") || strings.Contains(name, "runtime") {

@@ -5,11 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/network"
 	"repro/internal/power"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // TestScheduleSteadyStateAllocs enforces the allocation contract of the
@@ -17,7 +17,7 @@ import (
 // allocates nothing — the only allocation Schedule itself performs is the
 // returned placement map.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 // round, with an allocation (the 2-8 B/op BenchmarkChurn/Round read on
 // some runs).
 func TestScheduleNoLateAllocs(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func programMallocs(f func()) int64 {
 // identities insert into the memo's id→slot map — so only the steady
 // state is gated.)
 func TestScheduleDeltaSteadyStateAllocs(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestScheduleDeltaSteadyStateAllocs(t *testing.T) {
 // sizes a churning manager hands it), as long as no round exceeds the
 // high-water mark.
 func TestScheduleChurnAllocs(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
+	bundle, err := sweep.TrainedBundle(benchSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
